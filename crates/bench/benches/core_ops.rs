@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks of the numerical substrate: LIF stepping,
-//! GEMM, convolution, spike encoding and precision scaling.
+//! GEMM, spike encoding and precision scaling. The dense conv kernels are
+//! timed by `bench_conv_batch` (`conv_dense_*` rows).
 
 use axsnn::core::encoding::Encoder;
 use axsnn::core::lif::{LifParams, LifState};
 use axsnn::core::precision::PrecisionScale;
-use axsnn::tensor::conv::{conv2d, conv2d_backward, Conv2dSpec};
-use axsnn::tensor::{init, linalg, Tensor};
+use axsnn::tensor::{init, linalg};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,27 +29,6 @@ fn bench_matmul(c: &mut Criterion) {
     let x = init::uniform(&mut rng, &[128], 1.0);
     c.bench_function("matvec_128", |b| {
         b.iter(|| black_box(linalg::matvec(black_box(&a), black_box(&x)).unwrap()))
-    });
-}
-
-fn bench_conv(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let spec = Conv2dSpec {
-        in_channels: 8,
-        out_channels: 16,
-        kernel: 5,
-        stride: 1,
-        padding: 2,
-    };
-    let x = init::uniform(&mut rng, &[8, 28, 28], 1.0);
-    let w = init::uniform(&mut rng, &[16, 8, 5, 5], 0.2);
-    let bias = Tensor::zeros(&[16]);
-    c.bench_function("conv2d_8x28x28_to_16", |b| {
-        b.iter(|| black_box(conv2d(black_box(&x), &w, &bias, &spec).unwrap()))
-    });
-    let g = Tensor::ones(&[16, 28, 28]);
-    c.bench_function("conv2d_backward_8x28x28_to_16", |b| {
-        b.iter(|| black_box(conv2d_backward(black_box(&x), &w, &g, &spec).unwrap()))
     });
 }
 
@@ -91,7 +70,6 @@ criterion_group!(
     benches,
     bench_lif,
     bench_matmul,
-    bench_conv,
     bench_encoding,
     bench_precision
 );

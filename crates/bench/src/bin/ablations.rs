@@ -1,5 +1,4 @@
-//! Accuracy-side ablations of the design choices called out in
-//! DESIGN.md §6:
+//! Accuracy-side ablations of the reproduction's design choices:
 //!
 //! 1. attack gradient source — accurate-ANN transfer (threat model) vs
 //!    direct SNN surrogate gradients (white-box),

@@ -13,7 +13,14 @@
 //!   whole-stack aggregate (the acceptance headline);
 //! * full `T`-step fused network inference under an event-sorted plan
 //!   vs a row-by-row plan (selected through the serialized-plan
-//!   snapshot path), as the end-to-end no-regression record.
+//!   snapshot path), as the end-to-end no-regression record;
+//! * absolute µs per call of the dense conv kernels —
+//!   [`axsnn::tensor::conv::conv2d`] and
+//!   [`axsnn::tensor::conv::conv2d_backward`] on an analog input,
+//!   [`axsnn::tensor::sparse::sparse_conv2d_backward`] on a 10%-dense
+//!   event frame — at the paper's five conv layers (`conv_dense_*`,
+//!   informational, no floor). These are the kernels under white-box
+//!   BPTT crafting and ANN training.
 //!
 //! Every comparison is single-threaded A/B of bit-identical kernels —
 //! the floors in `axsnn_bench::gates` don't need a hardware skip, but
@@ -30,8 +37,8 @@ use axsnn::core::layer::Layer;
 use axsnn::core::network::{SnnConfig, SpikingNetwork};
 use axsnn::core::plan::ConvBatchKernel;
 use axsnn::tensor::batched::{sparse_conv2d_batch_sorted_into, SpikeMatrix};
-use axsnn::tensor::conv::Conv2dSpec;
-use axsnn::tensor::sparse::{sparse_conv2d_into, SpikeVector};
+use axsnn::tensor::conv::{conv2d, conv2d_backward, Conv2dSpec};
+use axsnn::tensor::sparse::{sparse_conv2d_backward, sparse_conv2d_into, SpikeVector};
 use axsnn::tensor::{init, Tensor};
 use axsnn_bench::json::{bench_row, write_bench_json, BenchRow};
 use rand::rngs::StdRng;
@@ -203,6 +210,103 @@ fn kernel_records(records: &mut Vec<Record>, density: f32) {
     });
 }
 
+/// Times every kernel **interleaved** (alternating measurement blocks,
+/// best-of-5 per kernel), so a burst of host noise lands on one block of
+/// each rather than on one kernel's whole measurement.
+fn time_interleaved(kernels: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    const REPS: usize = 5;
+    let n = iters();
+    for k in kernels.iter_mut() {
+        k(); // warmup
+    }
+    let mut best = vec![f64::INFINITY; kernels.len()];
+    for _ in 0..REPS {
+        for (k, b) in kernels.iter_mut().zip(&mut best) {
+            let start = Instant::now();
+            for _ in 0..n {
+                k();
+            }
+            *b = b.min(start.elapsed().as_nanos() as f64 / n as f64);
+        }
+    }
+    best
+}
+
+/// Absolute per-call time of the three dense conv kernels at the paper's
+/// five conv layers (MNIST 1→8 k5 28², 8→16 k5 14², 16→16 k3 7²; DVS
+/// 2→8 k3 32², 8→16 k3 16²).
+fn dense_kernel_rows(hardware_threads: usize) -> Vec<BenchRow> {
+    const DENSITY: f32 = 0.10;
+    let spec = |cin, cout, k| Conv2dSpec {
+        in_channels: cin,
+        out_channels: cout,
+        kernel: k,
+        stride: 1,
+        padding: k / 2,
+    };
+    let mut shapes: Vec<(String, Conv2dSpec, usize)> = paper_conv_layers()
+        .into_iter()
+        .map(|(name, spec, (h, _))| (format!("mnist_{name}"), spec, h))
+        .collect();
+    shapes.push(("dvs_l1_2to8_k3_32x32".into(), spec(2, 8, 3), 32));
+    shapes.push(("dvs_l2_8to16_k3_16x16".into(), spec(8, 16, 3), 16));
+
+    let mut rng = StdRng::seed_from_u64(2);
+    println!(
+        "\n{:<36} {:>11} {:>14} {:>20}",
+        "dense conv kernel (us/call)", "conv2d", "conv2d_bwd", "sparse_conv2d_bwd"
+    );
+    shapes
+        .into_iter()
+        .map(|(name, spec, hw)| {
+            let (cin, cout, k) = (spec.in_channels, spec.out_channels, spec.kernel);
+            let input = init::uniform(&mut rng, &[cin, hw, hw], 1.0);
+            let weight = init::uniform(&mut rng, &[cout, cin, k, k], 0.1);
+            let bias = init::uniform(&mut rng, &[cout], 0.1);
+            let (oh, ow) = spec.output_hw(hw, hw);
+            let grad_out = init::uniform(&mut rng, &[cout, oh, ow], 1.0);
+            let len = cin * hw * hw;
+            let events = SpikeVector::from_dense(&spike_frame(len, DENSITY, &[len], 17))
+                .expect("binary frame");
+            let ns = time_interleaved(&mut [
+                &mut || {
+                    black_box(conv2d(black_box(&input), &weight, &bias, &spec).unwrap());
+                },
+                &mut || {
+                    black_box(
+                        conv2d_backward(black_box(&input), &weight, &grad_out, &spec).unwrap(),
+                    );
+                },
+                &mut || {
+                    black_box(
+                        sparse_conv2d_backward(
+                            black_box(&events),
+                            (hw, hw),
+                            &weight,
+                            &grad_out,
+                            &spec,
+                        )
+                        .unwrap(),
+                    );
+                },
+            ]);
+            let name = format!("conv_dense_{name}");
+            println!(
+                "{name:<36} {:>11.1} {:>14.1} {:>20.1}",
+                ns[0] / 1e3,
+                ns[1] / 1e3,
+                ns[2] / 1e3
+            );
+            bench_row(&name)
+                .num("density", DENSITY as f64, 2)
+                .num("hardware_threads", hardware_threads as f64, 0)
+                .num("conv2d_us", ns[0] / 1e3, 2)
+                .num("conv2d_backward_us", ns[1] / 1e3, 2)
+                .num("sparse_conv2d_backward_us", ns[2] / 1e3, 2)
+        })
+        .collect()
+}
+
 /// The paper's MNIST conv architecture as a spiking network.
 fn paper_conv_snn(cfg: SnnConfig) -> SpikingNetwork {
     let mut rng = StdRng::seed_from_u64(5);
@@ -283,7 +387,7 @@ fn main() {
         "{:<38} {:>8} {:>16} {:>14} {:>9}",
         "benchmark", "density", "row-by-row ns", "sorted ns", "speedup"
     );
-    let rows: Vec<BenchRow> = records
+    let mut rows: Vec<BenchRow> = records
         .iter()
         .map(|r| {
             println!(
@@ -303,6 +407,7 @@ fn main() {
                 .num("speedup", r.speedup(), 3)
         })
         .collect();
+    rows.extend(dense_kernel_rows(hardware_threads));
     write_bench_json(&out_path, &rows).expect("write benchmark JSON");
     // Floors (stack ≥1.5×, per-layer and end-to-end ≥0.9×) live in the
     // consolidated gate (`bench_gate`, documented in

@@ -41,7 +41,10 @@
 //!   the end-to-end plan-selected network forward (`convnet_plan_*`)
 //!   never regress (≥ **0.9×**). Both kernels are bit-identical and the
 //!   A/B is single-threaded, so no hardware skip applies; records carry
-//!   `hardware_threads` like the PR 4 floors for observability.
+//!   `hardware_threads` for observability. The
+//!   `conv_dense_*` rows (absolute µs per call of `conv2d`,
+//!   `conv2d_backward` and `sparse_conv2d_backward` on the paper's five
+//!   conv layers) are informational: schema-checked, no floor.
 //! * `BENCH_sweep.json` — the crash-safe sweep engine (PR 6):
 //!   journaling the grid costs ≤ ~10% of a cold run
 //!   (`sweep_journal_overhead_*` ≥ **0.9×**), and resuming a completed
@@ -540,6 +543,22 @@ pub fn check_bench_file(path: &str) -> Result<GateReport, String> {
                     }
                 }
             }
+            "conv_batch" if name.starts_with("conv_dense_") => {
+                // Absolute per-call times of the dense conv kernels:
+                // informational, no floor.
+                require_fields(
+                    rec,
+                    &[
+                        "density",
+                        "hardware_threads",
+                        "conv2d_us",
+                        "conv2d_backward_us",
+                        "sparse_conv2d_backward_us",
+                    ],
+                    &ctx,
+                    &mut report.failures,
+                );
+            }
             "conv_batch" => {
                 require_fields(
                     rec,
@@ -1003,6 +1022,38 @@ mod tests {
         let report = check_bench_file(&path).unwrap();
         assert!(report.failures.is_empty(), "{:?}", report.failures);
         assert_eq!(report.gated, 4);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn conv_dense_rows_are_schema_checked_but_ungated() {
+        let dense = |with_backward: bool| {
+            let row = BenchRow::new()
+                .str("name", "conv_dense_mnist_l1_1to8_k5_28x28")
+                .num("density", 0.10, 2)
+                .num("hardware_threads", 1.0, 0)
+                .num("conv2d_us", 50.0, 1)
+                .num("sparse_conv2d_backward_us", 70.0, 1);
+            if with_backward {
+                row.num("conv2d_backward_us", 140.0, 1)
+            } else {
+                row
+            }
+        };
+        let mut rows = conv_batch_rows(2.0);
+        rows.push(dense(true));
+        let path = tmp("axsnn_gate_conv_batch_dense_a.json", &rows);
+        let report = check_bench_file(&path).unwrap();
+        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        assert_eq!(report.gated, 4);
+        let _ = std::fs::remove_file(path);
+
+        let mut rows = conv_batch_rows(2.0);
+        rows.push(dense(false));
+        let path = tmp("axsnn_gate_conv_batch_dense_b.json", &rows);
+        let report = check_bench_file(&path).unwrap();
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert!(report.failures[0].contains("conv2d_backward_us"));
         let _ = std::fs::remove_file(path);
     }
 

@@ -1,7 +1,7 @@
 //! Shared harness for the figure/table reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §3 and EXPERIMENTS.md). They share the
+//! evaluation. They share the
 //! scenario construction and sweep helpers defined here.
 //!
 //! The perf trajectory lives beside the figures: each `bench_*` smoke
@@ -66,8 +66,7 @@ pub fn sample_cap() -> usize {
 /// synthetic-digit models, clean direct-current gradients) is intrinsically
 /// less robust, so the same qualitative regimes (no effect → gradual decay
 /// → collapse) occur at ~10× smaller ε. The factor compresses the axis
-/// while preserving the paper's ordering and crossover shape
-/// (EXPERIMENTS.md documents this calibration).
+/// while preserving the paper's ordering and crossover shape.
 pub fn epsilon_scale() -> f32 {
     std::env::var("AXSNN_EPS_SCALE")
         .ok()

@@ -524,6 +524,18 @@ pub struct FrameStepper<'a> {
     logits: Option<Tensor>,
 }
 
+/// Mean number of synaptic operations one input spike of `layer`
+/// triggers: each nonzero weight is applied once per output position of
+/// its tap — `OH·OW` positions for a convolution, one for a linear layer
+/// — and the total is spread over the `input_len` inputs.
+fn mean_fan_out(layer: &Layer, nonzero_weights: usize, input_len: usize, output_len: usize) -> f64 {
+    let positions = match layer {
+        Layer::SpikingConv2d(l) => output_len / l.spec.out_channels.max(1),
+        _ => 1,
+    };
+    nonzero_weights as f64 * positions as f64 / input_len.max(1) as f64
+}
+
 impl FrameStepper<'_> {
     /// Applies one membrane update for `frame`, accumulating readout
     /// logits and spike statistics. Every [`crate::plan::ExecPlan`]
@@ -537,14 +549,15 @@ impl FrameStepper<'_> {
         let mut x = frame.clone();
         let mut spiking_idx = 0usize;
         for (li, layer) in self.net.layers.iter_mut().enumerate() {
-            let fan_out = self.nonzero_weights[li] / x.len().max(1);
+            let in_len = x.len();
             let in_spikes = x.sum();
             x = layer.forward_step(&x, self.record, rng)?;
             if layer.is_spiking() {
                 let emitted = layer.last_step_spike_count().unwrap_or(0.0);
                 self.stats.spikes_per_layer[spiking_idx] += emitted;
                 spiking_idx += 1;
-                self.stats.synaptic_ops += in_spikes as f64 * fan_out as f64;
+                let fan_out = mean_fan_out(layer, self.nonzero_weights[li], in_len, x.len());
+                self.stats.synaptic_ops += in_spikes as f64 * fan_out;
             }
         }
         self.stats.time_steps += 1;

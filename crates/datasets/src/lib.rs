@@ -2,7 +2,7 @@
 //!
 //! The paper evaluates on MNIST and DVS128 Gesture. Neither is available
 //! in this offline environment, so this crate generates seeded synthetic
-//! equivalents that exercise the same code paths (see DESIGN.md §2):
+//! equivalents that exercise the same code paths:
 //!
 //! * [`mnist`] — procedurally rendered digit glyphs (stroke templates with
 //!   random affine jitter, thickness and noise) in `[1, S, S]` tensors

@@ -14,7 +14,7 @@
 //! * [`Architecture::FastMlp`] — a small MLP used for the wide
 //!   `(V_th, T)` sweeps so the full grid reproduces in CI time (the
 //!   paper itself notes per-grid-point SNN training is prohibitively
-//!   slow; see DESIGN.md §2.3).
+//!   slow).
 
 use crate::Result;
 use axsnn_core::ann::{AnnLayer, AnnNetwork};
@@ -640,6 +640,53 @@ mod tests {
         let dvs_calib = vec![Tensor::full(&[2, 32, 32], 0.5)];
         let dvs = ann_to_snn(&dvs_conv_ann(&mut rng, 32), cfg, &dvs_calib).unwrap();
         check_plan(dvs.exec_plan(), "DVS paper net");
+    }
+
+    /// Every spiking conv layer of the DVS paper net counts synaptic
+    /// operations: run alone in front of a readout on all-ones frames,
+    /// each contributes `T × nonzero weights × OH·OW` (every input
+    /// spike reaches its mean fan-out of `nonzero · OH·OW / inputs`).
+    #[test]
+    fn dvs_paper_conv_layers_count_synaptic_ops() {
+        use axsnn_core::layer::Layer;
+        let mut rng = StdRng::seed_from_u64(0);
+        let cfg = SnnConfig {
+            threshold: 1.0,
+            time_steps: 4,
+            leak: 0.9,
+        };
+        let calib = vec![Tensor::full(&[2, 32, 32], 0.5)];
+        let dvs = ann_to_snn(&dvs_conv_ann(&mut rng, 32), cfg, &calib).unwrap();
+        let convs: Vec<Layer> = dvs
+            .layers()
+            .iter()
+            .filter(|l| matches!(l, Layer::SpikingConv2d(_)))
+            .cloned()
+            .collect();
+        assert_eq!(convs.len(), 2);
+        for (layer, in_dims) in convs.into_iter().zip([[2, 32, 32], [8, 16, 16]]) {
+            let Layer::SpikingConv2d(conv) = &layer else {
+                unreachable!()
+            };
+            let (oh, ow) = conv.spec.output_hw(in_dims[1], in_dims[2]);
+            let nonzero = conv
+                .weight
+                .value
+                .as_slice()
+                .iter()
+                .filter(|w| **w != 0.0)
+                .count();
+            let readout = Layer::output_linear(&mut rng, conv.spec.out_channels * oh * ow, 11);
+            let mut net = SpikingNetwork::new(vec![layer, Layer::flatten(), readout], cfg).unwrap();
+            let frames = vec![Tensor::full(&in_dims, 1.0); cfg.time_steps];
+            let ops = net
+                .forward(&frames, false, &mut rng)
+                .unwrap()
+                .stats
+                .synaptic_ops;
+            assert!(ops > 0.0, "conv layer over {in_dims:?} counts no ops");
+            assert_eq!(ops, (cfg.time_steps * nonzero * oh * ow) as f64);
+        }
     }
 
     /// Scenario-level plan construction: the prepared scenario hands

@@ -3,9 +3,38 @@
 //! All kernels operate on single samples in `[C, H, W]` layout; batching is
 //! handled by the layer abstractions in `axsnn-core`, which is the natural
 //! granularity for a time-stepped SNN simulator (each time step processes
-//! one spike frame). Convolution uses direct loops with padded coordinate
-//! arithmetic; for the small feature maps of the paper's networks this is
-//! faster than materializing im2col buffers.
+//! one spike frame).
+//!
+//! The dense convolution kernels are **row-contiguous**: every output
+//! element, input-gradient element and weight-gradient element owns one
+//! lane of a contiguous slice loop, and each lane keeps the exact scalar
+//! accumulation chain of a one-accumulator-per-element loop, so the
+//! loops auto-vectorize without reassociating anything:
+//!
+//! * **Forward** ([`conv2d`]) — each output plane starts at its bias and
+//!   every `(ic, ky, kx)` tap, in ascending order, sweeps contiguous
+//!   output rows with one broadcast weight. Each tap's valid `oy`/`ox`
+//!   range is clipped to the unpadded input: padded taps are never
+//!   added, because `-0.0 + 0.0·w` would turn a `-0.0` bias into `+0.0`.
+//! * **Input gradient** ([`conv2d_backward`], shared with
+//!   [`crate::sparse::sparse_conv2d_backward`]) — gather form: each input
+//!   element sums its contributions with `oc` ascending, then `ky` and
+//!   `kx` descending, which is exactly the order the `(oc, oy, ox)`
+//!   scatter delivers them in.
+//! * **Weight gradient** — lanes over output channels: `grad_out` is
+//!   transposed to `[oy][ox][oc]`, and for every `(ic, ky, kx)` cell the
+//!   `Cout` accumulators advance together over `(oy, ox)` ascending.
+//! * **Zero skips** — an output position with `g == 0` contributes
+//!   nothing (so a non-finite weight or input under a zero gradient
+//!   stays out of the sums). The lanes express the skip as a mask that
+//!   adds `+0.0` instead; every gradient accumulator starts at `+0.0`
+//!   and a round-to-nearest sum starting there is never `-0.0`, so
+//!   adding `+0.0` leaves it bit-for-bit unchanged.
+//!
+//! No multiply-add is contracted to an FMA. Every kernel covers every
+//! stride with one implementation; the `conv_equivalence` suite in
+//! `tests/` pins all three to the frozen per-element loops with `to_bits`
+//! equality over random shapes, signed zeros and the paper's layers.
 
 use crate::{Result, Tensor, TensorError};
 
@@ -39,6 +68,24 @@ impl Conv2dSpec {
         let oh = (h + 2 * self.padding - self.kernel) / self.stride + 1;
         let ow = (w + 2 * self.padding - self.kernel) / self.stride + 1;
         (oh, ow)
+    }
+
+    /// For each kernel offset `kk` along one axis, the output positions
+    /// `o < out` whose tap `o·stride + kk - padding` lands inside the
+    /// unpadded input `0..n` (empty when none does).
+    fn tap_ranges(&self, n: usize, out: usize) -> Vec<std::ops::Range<usize>> {
+        let (s, p) = (self.stride, self.padding);
+        (0..self.kernel)
+            .map(|kk| {
+                let lo = p.saturating_sub(kk).div_ceil(s);
+                let hi = if n + p > kk {
+                    out.min((n - 1 + p - kk) / s + 1)
+                } else {
+                    0
+                };
+                lo.min(hi)..hi
+            })
+            .collect()
     }
 
     fn validate(&self, input: &Tensor, weight: &Tensor) -> Result<(usize, usize)> {
@@ -126,39 +173,29 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &Conv2dSpec)
         });
     }
     let (oh, ow) = spec.output_hw(h, w);
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    let (oy_taps, ox_taps) = (spec.tap_ranges(h, oh), spec.tap_ranges(w, ow));
     let iv = input.as_slice();
-    let wv = weight.as_slice();
-    let bv = bias.as_slice();
-    let k = spec.kernel;
     let mut out = vec![0.0f32; spec.out_channels * oh * ow];
 
-    for oc in 0..spec.out_channels {
-        let wbase_oc = oc * spec.in_channels * k * k;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = bv[oc];
-                let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-                for ic in 0..spec.in_channels {
-                    let ibase = ic * h * w;
-                    let wbase = wbase_oc + ic * k * k;
-                    for ky in 0..k {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let irow = ibase + iy as usize * w;
-                        let wrow = wbase + ky * k;
-                        for kx in 0..k {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            acc += iv[irow + ix as usize] * wv[wrow + kx];
+    for ((plane, &b), wv_oc) in out
+        .chunks_exact_mut(oh * ow)
+        .zip(bias.as_slice())
+        .zip(weight.as_slice().chunks_exact(spec.in_channels * k * k))
+    {
+        plane.fill(b);
+        for (src, wv_ic) in iv.chunks_exact(h * w).zip(wv_oc.chunks_exact(k * k)) {
+            for (ky, wrow) in wv_ic.chunks_exact(k).enumerate() {
+                for oy in oy_taps[ky].clone() {
+                    let irow = &src[(oy * s + ky - p) * w..];
+                    let orow = &mut plane[oy * ow..(oy + 1) * ow];
+                    for ((kx, &wt), ox) in wrow.iter().enumerate().zip(&ox_taps) {
+                        if !ox.is_empty() {
+                            let ix0 = ox.start * s + kx - p;
+                            row_axpy(&mut orow[ox.clone()], &irow[ix0..], s, wt);
                         }
                     }
                 }
-                out[oc * oh * ow + oy * ow + ox] = acc;
             }
         }
     }
@@ -202,55 +239,189 @@ pub fn conv2d_backward(
         });
     }
 
-    let iv = input.as_slice();
-    let wv = weight.as_slice();
     let gv = grad_out.as_slice();
     let k = spec.kernel;
-    let mut gi = vec![0.0f32; spec.in_channels * h * w];
-    let mut gw = vec![0.0f32; spec.out_channels * spec.in_channels * k * k];
-    let mut gb = vec![0.0f32; spec.out_channels];
+    Ok(Conv2dGrads {
+        input: Tensor::from_vec(
+            input_grad(weight.as_slice(), gv, (h, w), spec),
+            &[spec.in_channels, h, w],
+        )?,
+        weight: Tensor::from_vec(
+            weight_grad(input.as_slice(), gv, (h, w), spec),
+            &[spec.out_channels, spec.in_channels, k, k],
+        )?,
+        bias: Tensor::from_vec(bias_grad(gv, spec.out_channels), &[spec.out_channels])?,
+    })
+}
 
-    for oc in 0..spec.out_channels {
-        let wbase_oc = oc * spec.in_channels * k * k;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let g = gv[oc * oh * ow + oy * ow + ox];
-                if g == 0.0 {
-                    continue;
+/// Input gradient of a convolution, `[Cin·H·W]`, in gather form.
+///
+/// Each output-gradient plane is copied, stride-dilated, into a
+/// zero-framed plane of `(H+K−1) × (W+K−1)` cells, where gradient
+/// `(oy, ox)` sits at row `oy·stride + K−1−padding` and column
+/// `ox·stride + K−1−padding` (a gradient whose every tap reads padding
+/// has no cell and reaches no input). Kernel tap `(ky, kx)` then reads that
+/// plane at one constant offset, so it is a single contiguous sweep over
+/// an input-gradient buffer with the same row width: the last `K−1`
+/// cells of each buffer row are scratch and are dropped at the end.
+/// A frame or dilation cell holds `+0.0`, which the `g == 0` mask turns
+/// into an exact no-op, so each input element receives exactly the
+/// scatter's contributions, with `oc` ascending, then `ky` and `kx`
+/// descending — the order the `(oc, oy, ox)`-ascending scatter
+/// delivers them in. Shared by [`conv2d_backward`] and
+/// [`crate::sparse::sparse_conv2d_backward`]; the caller has validated
+/// the shapes.
+pub(crate) fn input_grad(
+    wv: &[f32],
+    gv: &[f32],
+    (h, w): (usize, usize),
+    spec: &Conv2dSpec,
+) -> Vec<f32> {
+    let (oh, ow) = spec.output_hw(h, w);
+    let (k, s) = (spec.kernel, spec.stride);
+    let (ph, pw) = (h + k - 1, w + k - 1);
+    // Plane coordinate of output position `o` along an axis of `n`
+    // cells; `None` for an output whose every tap reads padding (only
+    // possible when `padding ≥ K`).
+    let frame = |o: usize, n: usize| (o * s + k - 1).checked_sub(spec.padding).filter(|&c| c < n);
+    let mut planes = vec![0.0f32; spec.out_channels * ph * pw];
+    for (plane, gplane) in planes
+        .chunks_exact_mut(ph * pw)
+        .zip(gv.chunks_exact(oh * ow))
+    {
+        for (oy, grow) in gplane.chunks_exact(ow).enumerate() {
+            let Some(r) = frame(oy, ph) else { continue };
+            for (ox, &g) in grow.iter().enumerate() {
+                if let Some(c) = frame(ox, pw) {
+                    plane[r * pw + c] = g;
                 }
-                gb[oc] += g;
-                let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-                for ic in 0..spec.in_channels {
-                    let ibase = ic * h * w;
-                    let wbase = wbase_oc + ic * k * k;
-                    for ky in 0..k {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let irow = ibase + iy as usize * w;
-                        let wrow = wbase + ky * k;
-                        for kx in 0..k {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
+            }
+        }
+    }
+    let span = (h - 1) * pw + w;
+    let mut wide = vec![0.0f32; spec.in_channels * h * pw];
+    for (plane, wv_oc) in planes
+        .chunks_exact(ph * pw)
+        .zip(wv.chunks_exact(spec.in_channels * k * k))
+    {
+        for (dst, wv_ic) in wide.chunks_exact_mut(h * pw).zip(wv_oc.chunks_exact(k * k)) {
+            for (ky, wrow) in wv_ic.chunks_exact(k).enumerate().rev() {
+                for (kx, &wt) in wrow.iter().enumerate().rev() {
+                    let src = &plane[(k - 1 - ky) * pw + (k - 1 - kx)..][..span];
+                    row_axpy_masked(&mut dst[..span], src, wt);
+                }
+            }
+        }
+    }
+    wide.chunks_exact(pw)
+        .flat_map(|row| &row[..w])
+        .copied()
+        .collect()
+}
+
+/// Weight gradient of a dense convolution, `[Cout·Cin·K·K]`, with one
+/// lane per output channel: `grad_out` is transposed to `[oy][ox][oc]`
+/// (channels zero-padded to whole blocks of [`OC_LANES`]) so that, per
+/// `(ic, ky, kx)` cell, a block of output channels advances its
+/// accumulators together over the valid `(oy, ox)` positions in
+/// ascending order, `g == 0` outputs masked out.
+fn weight_grad(iv: &[f32], gv: &[f32], (h, w): (usize, usize), spec: &Conv2dSpec) -> Vec<f32> {
+    let (oh, ow) = spec.output_hw(h, w);
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    let (oy_taps, ox_taps) = (spec.tap_ranges(h, oh), spec.tap_ranges(w, ow));
+    let cout = spec.out_channels;
+    let blocks = cout.div_ceil(OC_LANES);
+    let cpad = blocks * OC_LANES;
+    let mut gt = vec![0.0f32; oh * ow * cpad];
+    for (oc, gplane) in gv.chunks_exact(oh * ow).enumerate() {
+        for (pos, &g) in gplane.iter().enumerate() {
+            gt[pos * cpad + oc] = g;
+        }
+    }
+    let taps = spec.in_channels * k * k;
+    let mut gw = vec![0.0f32; cout * taps];
+    for (ic, src) in iv.chunks_exact(h * w).enumerate() {
+        for (ky, oy_range) in oy_taps.iter().enumerate() {
+            for (kx, ox_range) in ox_taps.iter().enumerate() {
+                let cell = (ic * k + ky) * k + kx;
+                for block in 0..blocks {
+                    let mut acc = [0.0f32; OC_LANES];
+                    for oy in oy_range.clone() {
+                        let irow = &src[(oy * s + ky - p) * w..];
+                        for ox in ox_range.clone() {
+                            let x = irow[ox * s + kx - p];
+                            let at = (oy * ow + ox) * cpad + block * OC_LANES;
+                            let g: &[f32; OC_LANES] =
+                                gt[at..at + OC_LANES].try_into().expect("lane block");
+                            for (a, &g) in acc.iter_mut().zip(g) {
+                                *a += masked_product(g, x);
                             }
-                            let ii = irow + ix as usize;
-                            gw[wrow + kx] += g * iv[ii];
-                            gi[ii] += g * wv[wrow + kx];
                         }
+                    }
+                    for (oc, &a) in (block * OC_LANES..cout).zip(&acc) {
+                        gw[oc * taps + cell] = a;
                     }
                 }
             }
         }
     }
+    gw
+}
 
-    Ok(Conv2dGrads {
-        input: Tensor::from_vec(gi, &[spec.in_channels, h, w])?,
-        weight: Tensor::from_vec(gw, &[spec.out_channels, spec.in_channels, k, k])?,
-        bias: Tensor::from_vec(gb, &[spec.out_channels])?,
-    })
+/// Output channels per weight-gradient lane block.
+const OC_LANES: usize = 8;
+
+/// Bias gradient: per output channel, the sum of its output gradients
+/// in ascending position order. Summing the `g == 0` entries the scalar
+/// loops skipped changes nothing: the sum starts at `+0.0` (a `fold`,
+/// not `Iterator::sum`, which starts at `-0.0`), so adding `±0.0` is an
+/// exact no-op.
+pub(crate) fn bias_grad(gv: &[f32], out_channels: usize) -> Vec<f32> {
+    if out_channels == 0 {
+        return Vec::new();
+    }
+    gv.chunks_exact(gv.len() / out_channels)
+        .map(|plane| plane.iter().fold(0.0, |acc, &g| acc + g))
+        .collect()
+}
+
+/// `g · x` for a lane whose output gradient is nonzero, `+0.0` for a
+/// masked (`g == 0`) lane — the lane form of the scalar loops' zero
+/// skip. Adding `+0.0` leaves any accumulator that started at `+0.0`
+/// unchanged bit for bit (a round-to-nearest sum from `+0.0` is never
+/// `-0.0`), and `0 · inf` never reaches a sum.
+#[inline(always)]
+fn masked_product(g: f32, x: f32) -> f32 {
+    if g != 0.0 {
+        g * x
+    } else {
+        0.0
+    }
+}
+
+/// `dst[i] += src[i·stride] · w` for every lane `i`: one output row of
+/// a forward tap.
+#[inline(always)]
+fn row_axpy(dst: &mut [f32], src: &[f32], stride: usize, w: f32) {
+    if stride == 1 {
+        let src = &src[..dst.len()];
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d += x * w;
+        }
+    } else {
+        for (d, &x) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d += x * w;
+        }
+    }
+}
+
+/// `dst[i] += masked_product(g[i], w)` for every lane `i`: one sweep of
+/// an input-gradient tap.
+#[inline(always)]
+fn row_axpy_masked(dst: &mut [f32], g: &[f32], w: f32) {
+    for (d, &g) in dst.iter_mut().zip(g) {
+        *d += masked_product(g, w);
+    }
 }
 
 /// Forward average pooling with a square `k × k` window and stride `k`.

@@ -2,7 +2,7 @@
 //!
 //! Every sparse kernel in this crate has a **portable scalar
 //! implementation that is the single source of truth for semantics**
-//! ([`crate::sparse::gather_row`]'s 4-accumulator order and its batched
+//! (`sparse::gather_row`'s 4-accumulator order and its batched
 //! relatives). This module adds AVX2 backends that execute the *same
 //! arithmetic* with 8 outputs per instruction: **lanes map to distinct
 //! output rows**, so each output's accumulation order — four partial
@@ -21,15 +21,15 @@
 //!
 //! Three primitive shapes cover the hot paths:
 //!
-//! * [`matvec_rows8`] — gathers one index list against 8 weight rows at
+//! * `matvec_rows8` — gathers one index list against 8 weight rows at
 //!   once (`vgatherdps` over a row-strided offset vector): the sparse
 //!   matvec tile, also used by the spike-plane GEMM on matvec-shaped
 //!   batches.
-//! * [`pack_rows8`] / [`matmul_panel8`] — the GEMM fast path: an 8-row
+//! * `pack_rows8` / `matmul_panel8` — the GEMM fast path: an 8-row
 //!   weight tile is transposed once per batch into an index-major panel
 //!   (`panel[j·8 + l] = row_l[j]`), turning every per-event gather into
 //!   one contiguous 32-byte load shared by 8 output rows.
-//! * [`decode_f16`] / [`decode_int8`] — blocked dequantization for the
+//! * `decode_f16` / `decode_int8` — blocked dequantization for the
 //!   reduced-precision weight planes: a panel of f16 bits (F16C
 //!   `vcvtph2ps`) or int8 codes (LUT `vgatherdps`) is decoded to f32
 //!   once per tile per batch instead of per `(event, output)` pair.
@@ -131,7 +131,7 @@ pub(crate) const ROW_LANES: usize = 8;
 
 /// Gathers `indices` against 8 consecutive weight rows at once:
 /// `out[l] = init[l] + Σ_j rows[l·k + indices[j]]` with exactly the
-/// scalar [`crate::sparse::gather_row`] accumulation order per lane.
+/// scalar `sparse::gather_row` accumulation order per lane.
 ///
 /// # Panics
 ///
@@ -159,7 +159,7 @@ pub(crate) fn matvec_rows8(
     unreachable!("SIMD dispatch is never active off x86-64");
 }
 
-/// Two [`matvec_rows8`] tiles sharing one walk of the index list:
+/// Two `matvec_rows8` tiles sharing one walk of the index list:
 /// `out[l] = init[l] + Σ_j rows[l·k + indices[j]]` for 16 rows. Each
 /// 8-lane half keeps the exact scalar accumulation order; fusing the
 /// tiles doubles the independent gather chains in flight, which is what
@@ -168,7 +168,7 @@ pub(crate) fn matvec_rows8(
 ///
 /// # Panics
 ///
-/// As [`matvec_rows8`] with `16·k` rows and 16 outputs.
+/// As `matvec_rows8` with `16·k` rows and 16 outputs.
 #[inline]
 pub(crate) fn matvec_rows16(
     rows: &[f32],
@@ -197,7 +197,7 @@ pub(crate) fn matvec_rows16(
 ///
 /// # Panics
 ///
-/// As [`matvec_rows8`] (`panel` takes the place of `out`, `8·k` long).
+/// As `matvec_rows8` (`panel` takes the place of `out`, `8·k` long).
 #[inline]
 pub(crate) fn pack_rows8(rows: &[f32], k: usize, panel: &mut [f32]) {
     assert!(rows.len() == ROW_LANES * k && panel.len() == ROW_LANES * k && active());
@@ -212,14 +212,14 @@ pub(crate) fn pack_rows8(rows: &[f32], k: usize, panel: &mut [f32]) {
     unreachable!("SIMD dispatch is never active off x86-64");
 }
 
-/// The GEMM microkernel over a packed panel: like [`matvec_rows8`] but
+/// The GEMM microkernel over a packed panel: like `matvec_rows8` but
 /// each gathered column is one contiguous load `panel[j·8 .. j·8 + 8]`.
 /// Per lane the accumulation order is again exactly
-/// [`crate::sparse::gather_row`]'s.
+/// `sparse::gather_row`'s.
 ///
 /// # Panics
 ///
-/// As [`matvec_rows8`] (`panel` must be `8·k` long).
+/// As `matvec_rows8` (`panel` must be `8·k` long).
 #[inline]
 pub(crate) fn matmul_panel8(
     panel: &[f32],
@@ -328,7 +328,7 @@ pub(crate) fn pack_panel8_f16(bits: &[u16], k: usize, panel: &mut [f32]) {
 /// Fused decode-and-pack for an 8-row int8 tile through the 255-entry
 /// `levels` table: `panel[j·8 + l] = levels[codes[l·k + j]]`,
 /// bit-identical to the scalar LUT walk per element (the AVX2 path
-/// clamps corrupt codes to 254 like [`decode_int8`]).
+/// clamps corrupt codes to 254 like `decode_int8`).
 ///
 /// # Panics
 ///

@@ -47,7 +47,7 @@
 //! # }
 //! ```
 
-use crate::conv::Conv2dSpec;
+use crate::conv::{self, Conv2dGrads, Conv2dSpec};
 use crate::plane::{F16Lane, F32Lane, Int8Lane, PlaneView, WeightLane};
 use crate::{Result, Tensor, TensorError};
 
@@ -879,10 +879,10 @@ fn gather_stencil(
 ///   arrive in the same ascending `(oy, ox)` order as the dense
 ///   backward, and the dense path's inactive-input contributions are
 ///   exact zeros, so each cell ends at the same `f32` value.
-/// * **Input and bias gradients** — computed with the dense backward's
-///   own loop structure (they are dense quantities: every input
-///   position needs its gradient for the upstream layer), bit-identical
-///   to [`crate::conv::conv2d_backward`].
+/// * **Input and bias gradients** — the dense backward's own
+///   row-contiguous kernels (they are dense quantities: every input
+///   position needs its gradient for the upstream layer), so they are
+///   [`crate::conv::conv2d_backward`]'s values by construction.
 ///
 /// # Errors
 ///
@@ -894,7 +894,7 @@ pub fn sparse_conv2d_backward(
     weight: &Tensor,
     grad_out: &Tensor,
     spec: &Conv2dSpec,
-) -> Result<crate::conv::Conv2dGrads> {
+) -> Result<Conv2dGrads> {
     check_conv_input(input, in_hw, weight, spec)?;
     let (h, w) = in_hw;
     let (oh, ow) = spec.output_hw(h, w);
@@ -908,48 +908,8 @@ pub fn sparse_conv2d_backward(
     let k = spec.kernel;
     let ohw = oh * ow;
     let wstride = spec.in_channels * k * k;
-    let wv = weight.as_slice();
     let gv = grad_out.as_slice();
-    let mut gi = vec![0.0f32; spec.in_channels * h * w];
     let mut gw = vec![0.0f32; spec.out_channels * wstride];
-    let mut gb = vec![0.0f32; spec.out_channels];
-
-    // Input + bias gradients: the dense backward's exact loop (minus
-    // the weight-gradient update), so both stay bit-identical to
-    // `conv2d_backward`.
-    for oc in 0..spec.out_channels {
-        let wbase_oc = oc * wstride;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let g = gv[oc * ohw + oy * ow + ox];
-                if g == 0.0 {
-                    continue;
-                }
-                gb[oc] += g;
-                let iy0 = (oy * spec.stride) as isize - spec.padding as isize;
-                let ix0 = (ox * spec.stride) as isize - spec.padding as isize;
-                for ic in 0..spec.in_channels {
-                    let ibase = ic * h * w;
-                    let wbase = wbase_oc + ic * k * k;
-                    for ky in 0..k {
-                        let iy = iy0 + ky as isize;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let irow = ibase + iy as usize * w;
-                        let wrow = wbase + ky * k;
-                        for kx in 0..k {
-                            let ix = ix0 + kx as isize;
-                            if ix < 0 || ix >= w as isize {
-                                continue;
-                            }
-                            gi[irow + ix as usize] += g * wv[wrow + kx];
-                        }
-                    }
-                }
-            }
-        }
-    }
 
     // Weight gradient: event-driven, mirroring the scatter conv's
     // coordinate arithmetic in gather direction.
@@ -992,10 +952,13 @@ pub fn sparse_conv2d_backward(
         }
     }
 
-    Ok(crate::conv::Conv2dGrads {
-        input: Tensor::from_vec(gi, &[spec.in_channels, h, w])?,
+    Ok(Conv2dGrads {
+        input: Tensor::from_vec(
+            conv::input_grad(weight.as_slice(), gv, in_hw, spec),
+            &[spec.in_channels, h, w],
+        )?,
         weight: Tensor::from_vec(gw, &[spec.out_channels, spec.in_channels, k, k])?,
-        bias: Tensor::from_vec(gb, &[spec.out_channels])?,
+        bias: Tensor::from_vec(conv::bias_grad(gv, spec.out_channels), &[spec.out_channels])?,
     })
 }
 
@@ -1063,6 +1026,14 @@ pub(crate) fn sparse_conv2d_naive(
     }
     Tensor::from_vec(out, &[spec.out_channels, oh, ow])
 }
+
+/// The frozen pre-rewrite conv loops, shared with the `conv_equivalence`
+/// suite as the reference for [`sparse_conv2d_backward`] (the unit
+/// tests here use only the dense backward).
+#[cfg(test)]
+#[allow(dead_code)]
+#[path = "../tests/conv_oracle/mod.rs"]
+mod conv_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1391,7 +1362,9 @@ mod tests {
 
     #[test]
     fn conv_backward_matches_dense_all_geometries() {
-        use crate::conv::conv2d_backward;
+        // The input and bias gradients share the dense backward's
+        // kernels, so the reference is the frozen scalar oracle; the
+        // event-driven weight gradient must equal its dense scatter.
         for &(stride, padding, every) in &[
             (1usize, 0usize, 3usize),
             (1, 1, 2),
@@ -1423,22 +1396,23 @@ mod tests {
                 &[5, oh, ow],
             )
             .unwrap();
-            let dense = conv2d_backward(&input, &weight, &grad_out, &spec).unwrap();
+            let oracle = conv_oracle::conv2d_backward(&input, &weight, &grad_out, &spec);
             let sparse =
                 sparse_conv2d_backward(&events, (h, w), &weight, &grad_out, &spec).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                sparse.input.as_slice(),
-                dense.input.as_slice(),
+                bits(&sparse.input),
+                bits(&oracle.input),
                 "stride {stride} pad {padding} every {every}: input grad"
             );
             assert_eq!(
-                sparse.bias.as_slice(),
-                dense.bias.as_slice(),
+                bits(&sparse.bias),
+                bits(&oracle.bias),
                 "stride {stride} pad {padding} every {every}: bias grad"
             );
             assert_eq!(
-                sparse.weight.as_slice(),
-                dense.weight.as_slice(),
+                bits(&sparse.weight),
+                bits(&oracle.weight),
                 "stride {stride} pad {padding} every {every}: weight grad"
             );
         }
