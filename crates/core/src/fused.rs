@@ -5,24 +5,54 @@
 //! sweeps and dataset evaluation run hundreds of independent samples
 //! against the same frozen network, so this module packs B encoded
 //! samples ([`FrameTrain`]) and drives all of them through every time
-//! step together: spike planes become a CSR
-//! [`axsnn_tensor::batched::SpikeMatrix`] and the linear layers run as
-//! one spike-plane GEMM per step ([`axsnn_tensor::batched::sparse_matmul_bias`]),
-//! which loads each weight row once per *batch* instead of once per
-//! sample. Membrane state lives in `[B, n]` blocks
-//! ([`crate::lif::BatchedLifState`]).
+//! step together, loading each weight once per *batch* instead of once
+//! per sample.
+//!
+//! # The event plane
+//!
+//! Between two layers the batch's activity is one plane of B rows, kept
+//! in the form the next kernels consume:
+//!
+//! * **CSR events** ([`axsnn_tensor::batched::SpikeMatrix`]) for every
+//!   binary plane: each spiking layer's output — the LIF step
+//!   ([`crate::lif::BatchedLifState::step`]) emits its spikes straight
+//!   into a matrix — a max pool over one
+//!   ([`axsnn_tensor::batched::sparse_max_pool2d_batch`], events in,
+//!   events out), flatten and inference dropout (which pass events
+//!   through), and an input step whose frames are all binary. No dense
+//!   spike block exists between layers; a layer's spike count is the
+//!   matrix's `nnz`.
+//! * **Dense** for everything analog: the `[B, n]` membranes and
+//!   synaptic currents inside a layer, the readout block, average-pool
+//!   output, and direct-current input rows.
+//!
+//! Linear layers run as one spike-plane GEMM per step
+//! ([`axsnn_tensor::batched::sparse_matmul_bias`]) and conv layers as
+//! the event-sorted scatter
+//! ([`axsnn_tensor::batched::sparse_conv2d_batch_sorted_into`]), both
+//! taking the plane's matrix directly when the density gate admits
+//! every row. Rows it declines are left empty in a masked copy of the
+//! matrix and run the dense kernel on a materialized row, overwriting
+//! their output slots.
 //!
 //! # Bit-for-bit equivalence
 //!
 //! The fused path is not "approximately" the per-sample path — it *is*
 //! the per-sample path, re-scheduled. Every batch row makes the same
 //! dense/sparse gate decision the per-sample forward would make (the
-//! density gate of PR 1, applied per row per layer per step), and every
-//! kernel routes through the same shared gather/scatter helpers in the
-//! same order, so `forward_batch` logits equal per-sample
-//! [`SpikingNetwork::forward`] logits bit for bit. The property suite
-//! in `tests/batched_equivalence.rs` pins this across shapes, batch
-//! sizes, densities and thread counts.
+//! density gate, applied per row per layer per step: an event
+//! row's `nnz` against the cap decides exactly as a scan of its
+//! `0.0`/`1.0` dense form would), and every kernel routes through the
+//! same shared gather/scatter helpers in the same order, so
+//! `forward_batch` logits equal per-sample [`SpikingNetwork::forward`]
+//! logits bit for bit. The gate runs **once** per row, layer and step,
+//! so each declined row counts exactly one dense fallback on the
+//! layer's policy — the per-sample count. A max pool over an event
+//! plane pools every row on events (both kernels agree on binary rows)
+//! and runs the gate for that accounting alone. The property suite in
+//! `tests/batched_equivalence.rs` pins logits (`to_bits`), spike
+//! totals and fallback counts across shapes, batch sizes, densities,
+//! gate thresholds and thread counts.
 //!
 //! # Minibatched training
 //!
@@ -51,7 +81,8 @@ use crate::plan::{ConvBatchKernel, KernelPolicy};
 use crate::{CoreError, Result};
 use axsnn_tensor::batched::{
     matmul_bt_bias, sparse_conv2d_batch_sorted_into, sparse_conv2d_batch_sorted_planed_into,
-    sparse_matmul_bias, sparse_matmul_bias_exact, sparse_matmul_bias_planed, SpikeMatrix,
+    sparse_matmul_bias, sparse_matmul_bias_exact, sparse_matmul_bias_planed,
+    sparse_max_pool2d_batch, SpikeMatrix,
 };
 use axsnn_tensor::conv::{self, Conv2dSpec};
 use axsnn_tensor::grads::{self, GradShard};
@@ -60,6 +91,7 @@ use axsnn_tensor::sparse::{self, SpikeVector};
 use axsnn_tensor::{linalg, Tensor, TensorError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 pub use crate::plan::BackwardOpts;
 
@@ -249,21 +281,15 @@ impl BatchForwardOutput {
     }
 }
 
-/// One sample's view of the input activity plane.
-#[derive(Debug, Clone)]
-enum PlaneRow {
-    /// Binary frame in event form.
-    Events(SpikeVector),
-    /// Analog (or gate-rejected) frame in dense form.
-    Dense(Tensor),
-}
-
 /// Storage of the batch's activity plane between two layers.
 enum PlaneData {
-    /// Per-sample rows (the input plane, fed from [`FrameTrain`]s).
-    Rows(Vec<PlaneRow>),
-    /// One contiguous `[B, n]` block (every inter-layer plane) — no
-    /// per-row tensor materialization between layers.
+    /// A binary plane in CSR form: every spiking layer's output, a max
+    /// pool, flatten or inference dropout over one, and an input step
+    /// whose frames are all binary.
+    Events(SpikeMatrix),
+    /// One contiguous `[B, n]` block for planes that may be analog: the
+    /// readout currents, pools over such planes, and an input step with
+    /// any direct-current frame.
     Stacked(Vec<f32>),
 }
 
@@ -275,25 +301,77 @@ struct BatchPlane {
     data: PlaneData,
 }
 
+/// The density gate's verdict on every row of a plane, taken once per
+/// row per layer per step.
+struct Gated<'a> {
+    /// The admitted rows' events over all B rows; declined rows are
+    /// empty. Borrowed from an event plane whose rows all passed.
+    events: Cow<'a, SpikeMatrix>,
+    /// Per row: did the gate admit it?
+    admitted: Vec<bool>,
+}
+
+impl Gated<'_> {
+    fn any_admitted(&self) -> bool {
+        self.admitted.contains(&true)
+    }
+
+    /// Rows the gate declined, ascending.
+    fn declined(&self) -> Vec<usize> {
+        (0..self.admitted.len())
+            .filter(|&r| !self.admitted[r])
+            .collect()
+    }
+
+    /// Row `r`'s admitted events, for the tape and per-row kernels.
+    fn row(&self, r: usize) -> SpikeVector {
+        SpikeVector::new(self.events.row(r).to_vec(), self.events.cols())
+            .expect("matrix rows are in bounds")
+    }
+}
+
 impl BatchPlane {
     fn volume(&self) -> usize {
         self.dims.iter().product()
     }
 
     /// Runs the plan's density gate ([`KernelPolicy::admit`] and
-    /// friends) on row `r`, returning the row's events exactly when the
+    /// friends) on every row, admitting a row exactly when the
     /// per-sample gate would: the frame is binary and its density is at
-    /// most the policy's threshold. Declines count on the policy's
-    /// fallback counter, matching the per-sample unit (one per batch
-    /// row).
-    fn admit(&self, r: usize, policy: &KernelPolicy) -> Option<SpikeVector> {
+    /// most the policy's threshold. Each declined row counts once on
+    /// the policy's fallback counter, matching the per-sample unit (one
+    /// per batch row), so callers gate a plane once per layer.
+    fn gate(&self, policy: &KernelPolicy) -> Result<Gated<'_>> {
         let len = self.volume();
         match &self.data {
-            PlaneData::Rows(rows) => match &rows[r] {
-                PlaneRow::Events(events) => policy.admit_events(events).then(|| events.clone()),
-                PlaneRow::Dense(t) => policy.admit(t),
-            },
-            PlaneData::Stacked(block) => policy.admit_slice(&block[r * len..(r + 1) * len]),
+            PlaneData::Events(m) => {
+                let admitted: Vec<bool> = (0..self.batch)
+                    .map(|r| policy.admit_events(m.row(r).len(), len))
+                    .collect();
+                let events = if admitted.contains(&false) {
+                    let mut masked = SpikeMatrix::with_cols(len);
+                    for (r, &ok) in admitted.iter().enumerate() {
+                        masked.push_row(if ok { m.row(r) } else { &[] })?;
+                    }
+                    Cow::Owned(masked)
+                } else {
+                    Cow::Borrowed(m)
+                };
+                Ok(Gated { events, admitted })
+            }
+            PlaneData::Stacked(block) => {
+                let mut events = SpikeMatrix::with_cols(len);
+                let mut admitted = Vec::with_capacity(self.batch);
+                for r in 0..self.batch {
+                    let row = policy.admit_slice(&block[r * len..(r + 1) * len]);
+                    events.push_row(row.as_ref().map_or(&[], SpikeVector::indices))?;
+                    admitted.push(row.is_some());
+                }
+                Ok(Gated {
+                    events: Cow::Owned(events),
+                    admitted,
+                })
+            }
         }
     }
 
@@ -302,16 +380,7 @@ impl BatchPlane {
     fn extend_dense(&self, r: usize, out: &mut Vec<f32>) {
         let len = self.volume();
         match &self.data {
-            PlaneData::Rows(rows) => match &rows[r] {
-                PlaneRow::Events(events) => {
-                    let base = out.len();
-                    out.resize(base + len, 0.0);
-                    for &j in events.indices() {
-                        out[base + j as usize] = 1.0;
-                    }
-                }
-                PlaneRow::Dense(t) => out.extend_from_slice(t.as_slice()),
-            },
+            PlaneData::Events(m) => extend_ones(m.row(r), len, out),
             PlaneData::Stacked(block) => out.extend_from_slice(&block[r * len..(r + 1) * len]),
         }
     }
@@ -319,17 +388,9 @@ impl BatchPlane {
     /// Materializes row `r` as the dense tensor the per-sample path
     /// would have seen (for the dense conv/pool kernels).
     fn dense_row(&self, r: usize) -> Result<Tensor> {
-        let len = self.volume();
-        match &self.data {
-            PlaneData::Rows(rows) => match &rows[r] {
-                PlaneRow::Events(events) => events.to_dense(&self.dims).map_err(CoreError::from),
-                PlaneRow::Dense(t) => Ok(t.clone()),
-            },
-            PlaneData::Stacked(block) => {
-                Tensor::from_vec(block[r * len..(r + 1) * len].to_vec(), &self.dims)
-                    .map_err(CoreError::from)
-            }
-        }
+        let mut data = Vec::with_capacity(self.volume());
+        self.extend_dense(r, &mut data);
+        Tensor::from_vec(data, &self.dims).map_err(CoreError::from)
     }
 }
 
@@ -425,8 +486,10 @@ impl BatchTape {
 }
 
 /// Computes the `[B, out]` current block of a (spiking or readout)
-/// linear layer: sparse-admitted rows fuse into one spike-plane GEMM,
-/// the rest batch through the dense `X·Wᵀ + b` fallback. Each row is
+/// linear layer: the gate-admitted rows run as one spike-plane GEMM over
+/// the gated matrix (declined rows are empty there, costing one bias
+/// copy each), and the declined rows batch through the dense
+/// `X·Wᵀ + b` fallback, overwriting their slots. Each row is
 /// bit-identical to its per-sample counterpart.
 ///
 /// With `record` set the admitted rows run the exact-order GEMM
@@ -456,68 +519,46 @@ fn linear_current_block(
     }
     let (out_n, in_n) = (wdims[0], wdims[1]);
     let b = plane.batch;
-    let mut block = vec![0.0f32; b * out_n];
-    let mut sparse_rows: Vec<SpikeVector> = Vec::new();
-    let mut sparse_pos: Vec<usize> = Vec::new();
-    let mut dense_data: Vec<f32> = Vec::new();
-    let mut dense_pos: Vec<usize> = Vec::new();
-    for r in 0..b {
-        match plane.admit(r, policy) {
-            Some(events) => {
-                sparse_pos.push(r);
-                sparse_rows.push(events);
-            }
-            None => {
-                dense_pos.push(r);
-                plane.extend_dense(r, &mut dense_data);
-            }
-        }
-    }
-    if !sparse_rows.is_empty() {
-        let batch = SpikeMatrix::from_rows(&sparse_rows).map_err(CoreError::from)?;
+    let gated = plane.gate(policy)?;
+    let mut block = if gated.any_admitted() {
+        let events = gated.events.as_ref();
         let y = if record {
-            sparse_matmul_bias_exact(weight, &batch, bias).map_err(CoreError::from)?
+            sparse_matmul_bias_exact(weight, events, bias)?
         } else {
             match quant {
-                Some(q) => sparse_matmul_bias_planed(q.view(), (out_n, in_n), &batch, bias)
-                    .map_err(CoreError::from)?,
-                None => sparse_matmul_bias(weight, &batch, bias).map_err(CoreError::from)?,
+                Some(q) => sparse_matmul_bias_planed(q.view(), (out_n, in_n), events, bias)?,
+                None => sparse_matmul_bias(weight, events, bias)?,
             }
         };
-        let yv = y.as_slice();
-        for (s, &r) in sparse_pos.iter().enumerate() {
-            block[r * out_n..(r + 1) * out_n].copy_from_slice(&yv[s * out_n..(s + 1) * out_n]);
+        y.into_vec()
+    } else {
+        vec![0.0f32; b * out_n]
+    };
+    let declined = gated.declined();
+    let mut dense_x: Vec<f32> = Vec::with_capacity(declined.len() * in_n);
+    if !declined.is_empty() {
+        for &r in &declined {
+            plane.extend_dense(r, &mut dense_x);
         }
-    }
-    let mut dense_x: Option<Tensor> = None;
-    if !dense_pos.is_empty() {
-        let x = Tensor::from_vec(std::mem::take(&mut dense_data), &[dense_pos.len(), in_n])
-            .map_err(CoreError::from)?;
-        let y = matmul_bt_bias(&x, weight, bias).map_err(CoreError::from)?;
+        let x = Tensor::from_vec(dense_x, &[declined.len(), in_n])?;
+        let y = matmul_bt_bias(&x, weight, bias)?;
         let yv = y.as_slice();
-        for (d, &r) in dense_pos.iter().enumerate() {
+        for (d, &r) in declined.iter().enumerate() {
             block[r * out_n..(r + 1) * out_n].copy_from_slice(&yv[d * out_n..(d + 1) * out_n]);
         }
-        if record {
-            dense_x = Some(x);
-        }
+        dense_x = x.into_vec();
     }
-    let mut rows = Vec::new();
+    let mut rows = Vec::with_capacity(if record { b } else { 0 });
     if record {
-        let mut slots: Vec<Option<BatchTapeRow>> = (0..b).map(|_| None).collect();
-        for (events, r) in sparse_rows.into_iter().zip(sparse_pos) {
-            slots[r] = Some(BatchTapeRow::Events(events));
+        let mut d = 0usize;
+        for r in 0..b {
+            rows.push(if gated.admitted[r] {
+                BatchTapeRow::Events(gated.row(r))
+            } else {
+                d += 1;
+                BatchTapeRow::Dense(dense_x[(d - 1) * in_n..d * in_n].to_vec())
+            });
         }
-        if let Some(x) = &dense_x {
-            let xv = x.as_slice();
-            for (d, r) in dense_pos.into_iter().enumerate() {
-                slots[r] = Some(BatchTapeRow::Dense(xv[d * in_n..(d + 1) * in_n].to_vec()));
-            }
-        }
-        rows = slots
-            .into_iter()
-            .map(|s| s.expect("every row partitioned"))
-            .collect();
     }
     Ok((block, rows))
 }
@@ -579,29 +620,18 @@ fn conv_current_block(
     let (oh, ow) = spec.output_hw(h, w);
     let n = spec.out_channels * oh * ow;
     let b = plane.batch;
-    let in_len = plane.volume();
     let mut block = vec![0.0f32; b * n];
     let mut rows = Vec::with_capacity(if record { b } else { 0 });
-    // One gate decision per row, through the plan's policy.
-    let admitted: Vec<Option<SpikeVector>> = (0..b).map(|r| plane.admit(r, policy)).collect();
-    let sorted = policy.conv_batch() == ConvBatchKernel::EventSorted
-        && b > 1
-        && admitted.iter().any(Option::is_some);
+    let gated = plane.gate(policy)?;
+    let sorted =
+        policy.conv_batch() == ConvBatchKernel::EventSorted && b > 1 && gated.any_admitted();
     if sorted {
-        // Pack every row (declined rows as empty event lists — their
-        // slots are overwritten by the dense conv below) and run the
-        // event-sorted scatter straight into the block.
-        let packed: Vec<SpikeVector> = admitted
-            .iter()
-            .map(|row| match row {
-                Some(events) => events.clone(),
-                None => SpikeVector::new(Vec::new(), in_len).expect("empty rows are in bounds"),
-            })
-            .collect();
-        let matrix = SpikeMatrix::from_rows(&packed).map_err(CoreError::from)?;
+        // Declined rows are empty in the gated matrix; their slots are
+        // overwritten by the dense conv below.
+        let events = gated.events.as_ref();
         match quant {
             Some(q) => sparse_conv2d_batch_sorted_planed_into(
-                &matrix,
+                events,
                 (h, w),
                 q.view(),
                 bias,
@@ -609,14 +639,15 @@ fn conv_current_block(
                 &mut block,
             )?,
             None => {
-                sparse_conv2d_batch_sorted_into(&matrix, (h, w), weight, bias, spec, &mut block)?
+                sparse_conv2d_batch_sorted_into(events, (h, w), weight, bias, spec, &mut block)?
             }
         }
     }
-    for (r, admitted_row) in admitted.into_iter().enumerate() {
+    for r in 0..b {
         let slot = &mut block[r * n..(r + 1) * n];
-        match admitted_row {
-            Some(events) => {
+        if gated.admitted[r] {
+            if !sorted || record {
+                let events = gated.row(r);
                 if !sorted {
                     sparse::sparse_conv2d_into(&events, (h, w), weight, bias, spec, slot)?;
                 }
@@ -624,13 +655,12 @@ fn conv_current_block(
                     rows.push(BatchTapeRow::Events(events));
                 }
             }
-            None => {
-                let t = plane.dense_row(r)?;
-                let out = conv::conv2d(&t, weight, bias, spec)?;
-                slot.copy_from_slice(out.as_slice());
-                if record {
-                    rows.push(BatchTapeRow::Dense(t.as_slice().to_vec()));
-                }
+        } else {
+            let t = plane.dense_row(r)?;
+            let out = conv::conv2d(&t, weight, bias, spec)?;
+            slot.copy_from_slice(out.as_slice());
+            if record {
+                rows.push(BatchTapeRow::Dense(t.into_vec()));
             }
         }
     }
@@ -638,13 +668,20 @@ fn conv_current_block(
 }
 
 /// Pools every row of the plane (max or avg), keeping the per-sample
-/// gate semantics: rows admitted by the density gate pool on events,
-/// the rest on the dense kernels.
+/// gate semantics.
 ///
-/// Recorded steps match the per-sample recorded path: always the dense
-/// kernels (max pooling needs its argmax tape, which the event kernel
-/// does not produce), no gate and no fallback accounting. Max-pool
-/// argmax rows are returned when `record` is set.
+/// A max pool over an event plane stays in event form: the event kernel
+/// ([`sparse_max_pool2d_batch`]) and the dense kernel agree on binary
+/// rows, so every row pools on events and the gate runs only for its
+/// fallback accounting (one count per declined row, as per sample).
+/// Recorded steps match the per-sample recorded path — dense kernels,
+/// which produce the argmax tape, and no gate — and re-encode each
+/// binary pooled row as events.
+///
+/// Average pooling, and max pooling over a dense block, pool
+/// gate-admitted rows on events and the rest on the dense kernels, into
+/// a dense block; recorded steps take the dense kernels without a gate.
+/// Max-pool argmax rows are returned when `record` is set.
 fn pool_plane(
     plane: BatchPlane,
     window: usize,
@@ -652,14 +689,47 @@ fn pool_plane(
     max: bool,
     record: bool,
 ) -> Result<(BatchPlane, Vec<Vec<usize>>)> {
-    let gate_ok = !record && plane.dims.len() == 3;
     let b = plane.batch;
+    let mut argmax_rows = Vec::with_capacity(if record && max { b } else { 0 });
+    if let (true, PlaneData::Events(m)) = (max, &plane.data) {
+        let pooled = if record {
+            let mut rows = Vec::with_capacity(b);
+            for r in 0..b {
+                let out = conv::max_pool2d(&plane.dense_row(r)?, window)?;
+                rows.push(
+                    SpikeVector::from_dense(&out.output)
+                        .expect("max pooling keeps a binary row binary"),
+                );
+                argmax_rows.push(out.argmax);
+            }
+            SpikeMatrix::from_rows(&rows)?
+        } else {
+            if plane.dims.len() == 3 {
+                for r in 0..b {
+                    policy.admit_events(m.row(r).len(), m.cols());
+                }
+            }
+            sparse_max_pool2d_batch(m, &plane.dims, window)?
+        };
+        let (c, h, w) = (plane.dims[0], plane.dims[1], plane.dims[2]);
+        return Ok((
+            BatchPlane {
+                dims: vec![c, h / window, w / window],
+                batch: b,
+                data: PlaneData::Events(pooled),
+            },
+            argmax_rows,
+        ));
+    }
+    let gated = (!record && plane.dims.len() == 3)
+        .then(|| plane.gate(policy))
+        .transpose()?;
     let mut out = Vec::new();
     let mut out_dims = Vec::new();
-    let mut argmax_rows = Vec::with_capacity(if record && max { b } else { 0 });
     for r in 0..b {
-        let pooled = match gate_ok.then(|| plane.admit(r, policy)).flatten() {
-            Some(events) => {
+        let pooled = match gated.as_ref().filter(|g| g.admitted[r]) {
+            Some(g) => {
+                let events = g.row(r);
                 if max {
                     sparse::sparse_max_pool2d(&events, &plane.dims, window)?
                 } else {
@@ -693,6 +763,40 @@ fn pool_plane(
         },
         argmax_rows,
     ))
+}
+
+/// Appends the dense `0.0`/`1.0` row of `len` elements whose active
+/// indices are `events`.
+fn extend_ones(events: &[u32], len: usize, out: &mut Vec<f32>) {
+    let base = out.len();
+    out.resize(base + len, 0.0);
+    for &j in events {
+        out[base + j as usize] = 1.0;
+    }
+}
+
+/// The batch's input plane at step `t`: one CSR matrix when every
+/// sample's frame is binary, one dense block otherwise.
+fn input_plane(trains: &[FrameTrain], t: usize) -> Result<PlaneData> {
+    let len = trains[0].dims().iter().product();
+    let frames = || trains.iter().map(|tr| &tr.frames()[t]);
+    if frames().all(|f| matches!(f, EncodedFrame::Spikes(_))) {
+        let mut m = SpikeMatrix::with_cols(len);
+        for f in frames() {
+            if let EncodedFrame::Spikes(s) = f {
+                m.push_row(s.indices())?;
+            }
+        }
+        return Ok(PlaneData::Events(m));
+    }
+    let mut block = Vec::with_capacity(trains.len() * len);
+    for f in frames() {
+        match f {
+            EncodedFrame::Spikes(s) => extend_ones(s.indices(), len, &mut block),
+            EncodedFrame::Analog(a) => block.extend_from_slice(a.as_slice()),
+        }
+    }
+    Ok(PlaneData::Stacked(block))
 }
 
 /// Maximum number of fixed row-shards the parallel backward partitions
@@ -988,7 +1092,9 @@ impl SpikingNetwork {
         let dims0 = first.dims().to_vec();
         let depth = self.depth();
         let spiking_layers = self.layers().iter().filter(|l| l.is_spiking()).count();
-        let mut spikes_per_layer = vec![0.0f32; spiking_layers];
+        // Exact integer totals: an f32 running sum drops odd counts once
+        // a layer's batch total passes 2^24.
+        let mut spike_counts = vec![0u64; spiking_layers];
         let mut states: Vec<Option<BatchedLifState>> = vec![None; depth];
         let mut logits: Option<Vec<f32>> = None;
         let mut classes = 0usize;
@@ -999,15 +1105,7 @@ impl SpikingNetwork {
             let mut plane = BatchPlane {
                 dims: dims0.clone(),
                 batch: b,
-                data: PlaneData::Rows(
-                    trains
-                        .iter()
-                        .map(|tr| match &tr.frames()[t] {
-                            EncodedFrame::Spikes(s) => PlaneRow::Events(s.clone()),
-                            EncodedFrame::Analog(a) => PlaneRow::Dense(a.clone()),
-                        })
-                        .collect(),
-                ),
+                data: input_plane(trains, t)?,
             };
             let mut spiking_idx = 0usize;
             let mut step_tape: Vec<BatchTapeStep> =
@@ -1037,12 +1135,12 @@ impl SpikingNetwork {
                         } else {
                             state.step(&current)
                         };
-                        spikes_per_layer[spiking_idx] += spikes.iter().sum::<f32>();
+                        spike_counts[spiking_idx] += spikes.nnz() as u64;
                         spiking_idx += 1;
                         plane = BatchPlane {
                             dims: out_dims,
                             batch: b,
-                            data: PlaneData::Stacked(spikes),
+                            data: PlaneData::Events(spikes),
                         };
                     }
                     Layer::SpikingLinear(l) => {
@@ -1066,12 +1164,12 @@ impl SpikingNetwork {
                         } else {
                             state.step(&current)
                         };
-                        spikes_per_layer[spiking_idx] += spikes.iter().sum::<f32>();
+                        spike_counts[spiking_idx] += spikes.nnz() as u64;
                         spiking_idx += 1;
                         plane = BatchPlane {
                             dims: vec![n],
                             batch: b,
-                            data: PlaneData::Stacked(spikes),
+                            data: PlaneData::Events(spikes),
                         };
                     }
                     Layer::OutputLinear(l) => {
@@ -1115,13 +1213,6 @@ impl SpikingNetwork {
                         if record {
                             step_tape.push(BatchTapeStep::Identity);
                         }
-                        if let PlaneData::Rows(rows) = &mut plane.data {
-                            for row in rows.iter_mut() {
-                                if let PlaneRow::Dense(t) = row {
-                                    *t = t.reshape(&[len])?;
-                                }
-                            }
-                        }
                         plane.dims = vec![len];
                     }
                     Layer::Dropout(_) => {
@@ -1140,22 +1231,12 @@ impl SpikingNetwork {
             // ascending-t elementwise order as the per-sample forward.
             classes = plane.volume();
             let acc = logits.get_or_insert_with(|| vec![0.0f32; b * classes]);
-            match &plane.data {
-                PlaneData::Stacked(block) => {
-                    for (slot, &v) in acc.iter_mut().zip(block) {
-                        *slot += v;
-                    }
-                }
-                PlaneData::Rows(_) => {
-                    for r in 0..b {
-                        let out = plane.dense_row(r)?;
-                        for (slot, &v) in acc[r * classes..(r + 1) * classes]
-                            .iter_mut()
-                            .zip(out.as_slice())
-                        {
-                            *slot += v;
-                        }
-                    }
+            let mut row = Vec::with_capacity(classes);
+            for r in 0..b {
+                row.clear();
+                plane.extend_dense(r, &mut row);
+                for (slot, &v) in acc[r * classes..(r + 1) * classes].iter_mut().zip(&row) {
+                    *slot += v;
                 }
             }
         }
@@ -1174,7 +1255,7 @@ impl SpikingNetwork {
         Ok((
             BatchForwardOutput {
                 logits,
-                spikes_per_layer,
+                spikes_per_layer: spike_counts.into_iter().map(|c| c as f32).collect(),
                 time_steps,
             },
             tape,

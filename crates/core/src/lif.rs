@@ -10,6 +10,7 @@
 //! replaced in the backward pass by the *fast-sigmoid surrogate*
 //! `1 / (1 + α·|v − V_th|)²`, the de-facto standard surrogate gradient.
 
+use axsnn_tensor::batched::SpikeMatrix;
 use axsnn_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -219,6 +220,8 @@ impl LifState {
 /// Row `b` evolves exactly like an independent [`LifState`] of size `n`
 /// fed row `b` of each current block — the update is elementwise, so
 /// the batched step is bit-identical per row to the per-sample step.
+/// Spikes leave the step as events ([`SpikeMatrix`]), the form every
+/// downstream fused kernel consumes.
 ///
 /// # Example
 ///
@@ -227,8 +230,10 @@ impl LifState {
 ///
 /// let params = LifParams { threshold: 1.0, leak: 1.0, surrogate_alpha: 2.0 };
 /// let mut s = BatchedLifState::new(2, 1, params);
-/// assert_eq!(s.step(&[0.6, 1.2]), vec![0.0, 1.0]); // row 1 fires
-/// assert_eq!(s.step(&[0.6, 0.3]), vec![1.0, 0.0]); // row 0 integrated to 1.2
+/// let spikes = s.step(&[0.6, 1.2]); // row 1 fires
+/// assert_eq!((spikes.row(0), spikes.row(1)), (&[][..], &[0][..]));
+/// let spikes = s.step(&[0.6, 0.3]); // row 0 integrated to 1.2
+/// assert_eq!((spikes.row(0), spikes.row(1)), (&[0][..], &[][..]));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchedLifState {
@@ -275,47 +280,37 @@ impl BatchedLifState {
     }
 
     /// Advances every population one time step with the stacked
-    /// synaptic current block `[B, n]`, returning the binary spike
-    /// block of the same shape.
+    /// synaptic current block `[B, n]`, returning the spikes as a
+    /// `B`-row event matrix (ascending neuron indices per row).
     ///
     /// Dynamics per element match [`LifState::step`]: `v ← leak·v + I`;
-    /// fire and hard-reset at `v ≥ V_th`.
+    /// fire and hard-reset at `v ≥ V_th`. The update is branch-free: the
+    /// membrane is written through a select and each neuron's index is
+    /// stored unconditionally, advancing the row's write cursor only
+    /// when it fired.
     ///
     /// # Panics
     ///
     /// Panics when `current.len() != B·n` — a wiring bug in the layer
     /// above, not a user input error.
-    pub fn step(&mut self, current: &[f32]) -> Vec<f32> {
-        assert_eq!(
-            current.len(),
-            self.membrane.len(),
-            "batched synaptic current size {} != B*n = {}",
-            current.len(),
-            self.membrane.len()
-        );
-        let mut spikes = vec![0.0f32; self.membrane.len()];
-        for ((v, &i), s) in self.membrane.iter_mut().zip(current).zip(spikes.iter_mut()) {
-            *v = self.params.leak * *v + i;
-            if *v >= self.params.threshold {
-                *s = 1.0;
-                *v = 0.0;
-            }
-        }
-        spikes
+    pub fn step(&mut self, current: &[f32]) -> SpikeMatrix {
+        self.advance(current, None)
     }
 
     /// [`BatchedLifState::step`] that additionally returns the
     /// pre-reset membrane block `[B, n]` — what the surrogate gradient
     /// is evaluated at, so the recorded batch forward can tape it.
     ///
-    /// The dynamics per element are identical to [`BatchedLifState::step`];
-    /// the spike block can be recovered from the returned membranes as
-    /// `pre ≥ V_th`.
-    ///
     /// # Panics
     ///
     /// As [`BatchedLifState::step`].
-    pub fn step_recorded(&mut self, current: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    pub fn step_recorded(&mut self, current: &[f32]) -> (SpikeMatrix, Vec<f32>) {
+        let mut pre = vec![0.0f32; self.membrane.len()];
+        let spikes = self.advance(current, Some(&mut pre));
+        (spikes, pre)
+    }
+
+    fn advance(&mut self, current: &[f32], mut pre: Option<&mut [f32]>) -> SpikeMatrix {
         assert_eq!(
             current.len(),
             self.membrane.len(),
@@ -323,23 +318,46 @@ impl BatchedLifState {
             current.len(),
             self.membrane.len()
         );
-        let mut spikes = vec![0.0f32; self.membrane.len()];
-        let mut pre = vec![0.0f32; self.membrane.len()];
-        for (((v, &i), s), p) in self
-            .membrane
-            .iter_mut()
-            .zip(current)
-            .zip(spikes.iter_mut())
-            .zip(pre.iter_mut())
-        {
-            *v = self.params.leak * *v + i;
-            *p = *v;
-            if *v >= self.params.threshold {
-                *s = 1.0;
-                *v = 0.0;
+        let LifParams {
+            threshold, leak, ..
+        } = self.params;
+        let n = self.neurons;
+        let mut spikes = SpikeMatrix::with_cols(n);
+        // One row's fired indices; slot `k` is overwritten until a
+        // neuron fires, so `fired[..k]` holds exactly the spikes.
+        let mut fired = vec![0u32; n];
+        for r in 0..self.batch {
+            let span = r * n..(r + 1) * n;
+            let rows = self.membrane[span.clone()]
+                .iter_mut()
+                .zip(&current[span.clone()]);
+            let mut k = 0usize;
+            let mut emit = |j: usize, v: &mut f32, u: f32| {
+                let fire = u >= threshold;
+                *v = if fire { 0.0 } else { u };
+                fired[k] = j as u32;
+                k += usize::from(fire);
+            };
+            match pre.as_deref_mut() {
+                Some(pre) => {
+                    for (j, ((v, &i), p)) in rows.zip(&mut pre[span]).enumerate() {
+                        let u = leak * *v + i;
+                        *p = u;
+                        emit(j, v, u);
+                    }
+                }
+                None => {
+                    for (j, (v, &i)) in rows.enumerate() {
+                        let u = leak * *v + i;
+                        emit(j, v, u);
+                    }
+                }
             }
+            spikes
+                .push_row(&fired[..k])
+                .expect("fired indices are below the row length");
         }
-        (spikes, pre)
+        spikes
     }
 }
 
@@ -462,16 +480,37 @@ mod tests {
         };
         let (b, n) = (3usize, 4usize);
         let mut batched = BatchedLifState::new(b, n, params);
+        let mut recorded = BatchedLifState::new(b, n, params);
         let mut singles: Vec<LifState> = (0..b).map(|_| LifState::new(n, params)).collect();
         for t in 0..10 {
+            // Includes exact-threshold, negative and NaN currents.
             let current: Vec<f32> = (0..b * n)
-                .map(|i| ((i + t) as f32 * 0.61).sin().abs())
+                .map(|i| match (i + t) % 11 {
+                    0 => 0.7,
+                    1 => -0.4,
+                    2 if t == 3 => f32::NAN,
+                    _ => ((i + t) as f32 * 0.61).sin().abs(),
+                })
                 .collect();
             let spikes = batched.step(&current);
+            let (rec_spikes, pre) = recorded.step_recorded(&current);
+            assert_eq!(spikes, rec_spikes);
+            assert_eq!((spikes.rows(), spikes.cols()), (b, n));
             for (r, single) in singles.iter_mut().enumerate() {
                 let out = single.step(&current[r * n..(r + 1) * n]);
-                assert_eq!(&spikes[r * n..(r + 1) * n], out.spikes.as_slice());
-                assert_eq!(&batched.membrane()[r * n..(r + 1) * n], single.membrane());
+                let expected: Vec<u32> = (0..n as u32)
+                    .filter(|&j| out.spikes[j as usize] == 1.0)
+                    .collect();
+                assert_eq!(spikes.row(r), expected.as_slice());
+                for (a, e) in pre[r * n..(r + 1) * n].iter().zip(&out.pre_reset_membrane) {
+                    assert_eq!(a.to_bits(), e.to_bits());
+                }
+                for (a, e) in batched.membrane()[r * n..(r + 1) * n]
+                    .iter()
+                    .zip(single.membrane())
+                {
+                    assert_eq!(a.to_bits(), e.to_bits());
+                }
             }
         }
         batched.reset();

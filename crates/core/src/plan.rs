@@ -265,18 +265,19 @@ impl KernelPolicy {
         events
     }
 
-    /// The density gate on an already-encoded event row (the fused
-    /// engine's input planes): admits exactly when a dense
-    /// materialization of the row would pass [`KernelPolicy::admit`] —
-    /// the row is binary by construction, so only the density cap is
-    /// checked. Declines count a fallback under an armed gate.
-    pub fn admit_events(&self, events: &SpikeVector) -> bool {
+    /// The density gate on an event row of `nnz` spikes over `len`
+    /// elements (the fused engine's CSR planes): admits exactly when a
+    /// dense materialization of the row would pass
+    /// [`KernelPolicy::admit`] — the row is binary by construction, so
+    /// only the density cap is checked. Declines count a fallback under
+    /// an armed gate.
+    pub fn admit_events(&self, nnz: usize, len: usize) -> bool {
         let threshold = self.threshold();
         if threshold.is_nan() || threshold <= 0.0 {
             return false;
         }
-        let cap = (threshold as f64 * events.len() as f64).floor() as usize;
-        if events.nnz() <= cap {
+        let cap = (threshold as f64 * len as f64).floor() as usize;
+        if nnz <= cap {
             true
         } else {
             self.fallbacks.bump();
@@ -646,10 +647,13 @@ mod tests {
         let policy = KernelPolicy::for_linear();
         let frame = Tensor::from_vec(vec![1.0, 0.0, 0.0, 0.0, 0.0], &[5]).unwrap();
         let events = SpikeVector::from_dense(&frame).unwrap();
-        assert_eq!(policy.admit_events(&events), policy.admit(&frame).is_some());
+        assert_eq!(
+            policy.admit_events(events.nnz(), events.len()),
+            policy.admit(&frame).is_some()
+        );
         let dense_frame = Tensor::ones(&[5]);
         let dense_events = SpikeVector::from_dense(&dense_frame).unwrap();
-        assert!(!policy.admit_events(&dense_events));
+        assert!(!policy.admit_events(dense_events.nnz(), dense_events.len()));
         assert!(policy.admit(&dense_frame).is_none());
     }
 

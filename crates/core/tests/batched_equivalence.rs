@@ -167,6 +167,8 @@ proptest! {
 
     /// Analog (direct-current) inputs — every row takes the batched
     /// dense fallback — still match the per-sample dense path bitwise.
+    /// Every fourth image is black, so its frames encode as (empty)
+    /// spike frames and the batch mixes binary and analog rows.
     #[test]
     fn analog_forward_batch_bitwise_equals_per_sample(
         batch in 1usize..17,
@@ -178,8 +180,10 @@ proptest! {
         let net = mlp(seed, inputs, 10, 3, c);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xfeed);
         let trains: Vec<FrameTrain> = (0..batch)
-            .map(|_| {
-                let image: Vec<f32> = (0..inputs).map(|_| rng.gen::<f32>()).collect();
+            .map(|i| {
+                let image: Vec<f32> = (0..inputs)
+                    .map(|_| if i % 4 == 3 { 0.0 } else { rng.gen::<f32>() })
+                    .collect();
                 let image = Tensor::from_vec(image, &[inputs]).unwrap();
                 let mut erng = StdRng::seed_from_u64(0);
                 FrameTrain::encode(&image, Encoder::DirectCurrent, t, &mut erng).unwrap()
@@ -299,4 +303,291 @@ fn avg_pool_degradation_is_observable() {
         sharded_net.total_dense_fallbacks() > 0,
         "worker-clone fallbacks must aggregate into the caller's instance"
     );
+}
+
+/// Runs `trains` through the fused engine and, sample by sample, through
+/// the per-sample engine, on two copies of the network built by `build`
+/// (built twice because clones share their fallback counters), both
+/// under `threshold` when given. Asserts, layer by layer, the same
+/// logits (`to_bits`), spike totals and dense-fallback counts, and
+/// returns the fallback counts.
+fn assert_layerwise_equivalent(
+    build: &dyn Fn() -> SpikingNetwork,
+    threshold: Option<f32>,
+    trains: &[FrameTrain],
+) -> Vec<u64> {
+    let (mut fused, mut reference) = (build(), build());
+    if let Some(th) = threshold {
+        fused.set_sparse_threshold(th);
+        reference.set_sparse_threshold(th);
+    }
+    let out = fused.forward_batch(trains).unwrap();
+    let classes = out.logits.shape().dims()[1];
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut spikes = vec![0.0f32; out.spikes_per_layer.len()];
+    for (r, train) in trains.iter().enumerate() {
+        let per_sample = reference
+            .forward(&train.to_frames().unwrap(), false, &mut rng)
+            .unwrap();
+        let fused_row = &out.logits.as_slice()[r * classes..(r + 1) * classes];
+        for (c, (a, e)) in fused_row
+            .iter()
+            .zip(per_sample.logits.as_slice())
+            .enumerate()
+        {
+            assert_eq!(
+                a.to_bits(),
+                e.to_bits(),
+                "threshold {threshold:?} row {r} class {c}: {a} vs {e}"
+            );
+        }
+        for (s, &v) in spikes.iter_mut().zip(&per_sample.stats.spikes_per_layer) {
+            *s += v;
+        }
+    }
+    assert_eq!(out.spikes_per_layer, spikes, "threshold {threshold:?}");
+    let counts = fused.dense_fallback_counts();
+    assert_eq!(
+        counts,
+        reference.dense_fallback_counts(),
+        "threshold {threshold:?}: per-layer dense fallbacks"
+    );
+    counts
+}
+
+/// Binary `[c, h, w]` frame trains whose per-sample density varies
+/// across the batch: every third sample is empty, the rest range from
+/// sparse to `max_density`.
+fn graded_trains(
+    batch: usize,
+    dims: [usize; 3],
+    t: usize,
+    max_density: f32,
+    seed: u64,
+) -> Vec<FrameTrain> {
+    let len: usize = dims.iter().product();
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..batch)
+        .map(|r| {
+            let density = if r % 3 == 0 {
+                0.0
+            } else {
+                max_density * (r % 7 + 1) as f32 / 7.0
+            };
+            let frames: Vec<Tensor> = (0..t)
+                .map(|_| {
+                    let data: Vec<f32> = (0..len)
+                        .map(|_| if rng.gen::<f32>() < density { 1.0 } else { 0.0 })
+                        .collect();
+                    Tensor::from_vec(data, &dims).unwrap()
+                })
+                .collect();
+            FrameTrain::from_frames(&frames).unwrap()
+        })
+        .collect()
+}
+
+fn conv_spec(cin: usize, cout: usize, kernel: usize) -> Conv2dSpec {
+    Conv2dSpec {
+        in_channels: cin,
+        out_channels: cout,
+        kernel,
+        stride: 1,
+        padding: kernel / 2,
+    }
+}
+
+/// Two conv/max-pool stages on 12×12, then a spiking linear layer: every
+/// plane between the layers is an event plane.
+fn deep_conv_net(seed: u64, c: SnnConfig) -> SpikingNetwork {
+    let mut rng = StdRng::seed_from_u64(seed);
+    SpikingNetwork::new(
+        vec![
+            Layer::spiking_conv2d(&mut rng, conv_spec(1, 4, 3), &c),
+            Layer::max_pool2d(2),
+            Layer::spiking_conv2d(&mut rng, conv_spec(4, 6, 3), &c),
+            Layer::max_pool2d(2),
+            Layer::flatten(),
+            Layer::dropout(0.3),
+            Layer::spiking_linear(&mut rng, 6 * 3 * 3, 16, &c),
+            Layer::output_linear(&mut rng, 16, 4),
+        ],
+        c,
+    )
+    .unwrap()
+}
+
+/// Thresholds low enough to decline *some* rows of the event planes
+/// mid-network (0.02, 0.05), the default gate, a wide-open gate and two
+/// disarmed gates (0.0 and NaN), at batch sizes 1, 2, 7 and 32 with
+/// empty rows: the fused engine matches the per-sample engine on every
+/// layer's logits, spikes and dense-fallback counts.
+#[test]
+fn event_planes_match_per_sample_layer_by_layer_under_every_gate() {
+    let c = cfg(0.45, 3);
+    let layers = 8usize;
+    let mut mixed_mid_network = [false; 2];
+    for batch in [1usize, 2, 7, 32] {
+        let trains = graded_trains(batch, [1, 12, 12], 3, 0.35, batch as u64);
+        for (k, threshold) in [
+            Some(0.02),
+            Some(0.05),
+            None,
+            Some(1.0),
+            Some(0.0),
+            Some(f32::NAN),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let counts = assert_layerwise_equivalent(&|| deep_conv_net(17, c), threshold, &trains);
+            assert_eq!(counts.len(), layers);
+            if threshold.is_some_and(|th| th.is_nan() || th <= 0.0) {
+                assert!(counts.iter().all(|&n| n == 0), "disarmed gates never count");
+            }
+            // Some but not all rows of an event plane declined past the
+            // first layer: the masked-matrix path ran.
+            let rows = (batch * 3) as u64;
+            if k < 2 && counts[1..].iter().any(|&n| n > 0 && n < rows) {
+                mixed_mid_network[k] = true;
+            }
+        }
+    }
+    assert_eq!(
+        mixed_mid_network,
+        [true, true],
+        "thresholds 0.02 and 0.05 must split an event plane mid-network"
+    );
+}
+
+/// A max pool straight on dense binary input: windows are hit by 0–4
+/// spikes, and rows above the pool's density gate are counted once each
+/// while still pooling to the same events.
+#[test]
+fn event_max_pool_dedupes_windows_hit_by_several_spikes() {
+    let c = cfg(0.5, 2);
+    let build = || {
+        let mut rng = StdRng::seed_from_u64(5);
+        SpikingNetwork::new(
+            vec![
+                Layer::max_pool2d(2),
+                Layer::spiking_conv2d(&mut rng, conv_spec(2, 3, 3), &c),
+                Layer::max_pool2d(2),
+                Layer::flatten(),
+                Layer::output_linear(&mut rng, 3 * 2 * 2, 3),
+            ],
+            c,
+        )
+        .unwrap()
+    };
+    let trains = graded_trains(7, [2, 8, 8], 2, 0.9, 3);
+    // Every hit count from 2 to 4 occurs in some input window.
+    let mut hits_seen = [false; 5];
+    for train in &trains {
+        for frame in train.to_frames().unwrap() {
+            let v = frame.as_slice();
+            for ch in 0..2 {
+                for oy in 0..4 {
+                    for ox in 0..4 {
+                        let at = |y: usize, x: usize| v[ch * 64 + (2 * oy + y) * 8 + 2 * ox + x];
+                        let hits = at(0, 0) + at(0, 1) + at(1, 0) + at(1, 1);
+                        hits_seen[hits as usize] = true;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        hits_seen[2..],
+        [true; 3],
+        "windows hit by 2, 3 and 4 spikes"
+    );
+    for threshold in [None, Some(0.05), Some(0.0)] {
+        let counts = assert_layerwise_equivalent(&build, threshold, &trains);
+        if threshold.is_none() {
+            assert!(counts[0] > 0, "dense rows decline the first pool's gate");
+        }
+    }
+}
+
+/// The paper's conv shape: k5 convs on 28×28 with two max pools, T = 4.
+#[test]
+fn paper_shape_convnet_matches_per_sample() {
+    let c = cfg(0.5, 4);
+    let build = || {
+        let mut rng = StdRng::seed_from_u64(23);
+        SpikingNetwork::new(
+            vec![
+                Layer::spiking_conv2d(&mut rng, conv_spec(1, 8, 5), &c),
+                Layer::max_pool2d(2),
+                Layer::spiking_conv2d(&mut rng, conv_spec(8, 16, 5), &c),
+                Layer::max_pool2d(2),
+                Layer::flatten(),
+                Layer::spiking_linear(&mut rng, 16 * 7 * 7, 32, &c),
+                Layer::output_linear(&mut rng, 32, 10),
+            ],
+            c,
+        )
+        .unwrap()
+    };
+    let trains = graded_trains(5, [1, 28, 28], 4, 0.3, 28);
+    for threshold in [None, Some(0.05)] {
+        assert_layerwise_equivalent(&build, threshold, &trains);
+    }
+}
+
+/// The density gate runs once per row per layer per step: a linear
+/// layer over a batch mixing admitted and declined rows counts exactly
+/// one fallback per declined row and step.
+#[test]
+fn each_declined_row_counts_exactly_once() {
+    let c = cfg(0.5, 3);
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut net = SpikingNetwork::new(
+        vec![
+            Layer::spiking_linear(&mut rng, 20, 8, &c),
+            Layer::output_linear(&mut rng, 8, 2),
+        ],
+        c,
+    )
+    .unwrap();
+    // 20-element rows with 0, 3, 5, 6 and 20 spikes: at the default 0.25
+    // gate (cap 5 spikes) the last two decline.
+    let trains: Vec<FrameTrain> = [0usize, 3, 5, 6, 20]
+        .iter()
+        .map(|&nnz| {
+            let data: Vec<f32> = (0..20).map(|i| if i < nnz { 1.0 } else { 0.0 }).collect();
+            FrameTrain::from_frames(&vec![Tensor::from_vec(data, &[20]).unwrap(); 3]).unwrap()
+        })
+        .collect();
+    net.forward_batch(&trains).unwrap();
+    assert_eq!(net.dense_fallback_counts()[0], 2 * 3);
+}
+
+/// Spike totals stay exact past 2^24: one always-firing linear layer of
+/// 3 × 1367 neurons over 4100 steps emits 16,814,100 spikes, an even
+/// count above 2^24 that f32 represents exactly. A running f32 sum of
+/// the per-step totals (4101, odd) rounds each step past 2^24 and ends
+/// 8 short.
+#[test]
+fn fused_spike_counts_stay_exact_past_2_pow_24() {
+    let (batch, neurons, steps) = (3usize, 1367usize, 4100usize);
+    let exact = (batch * neurons * steps) as u64;
+    assert!(exact > 1 << 24);
+    let naive = (0..steps).fold(0.0f32, |acc, _| acc + (batch * neurons) as f32);
+    assert_ne!(naive, exact as f32, "the f32 running sum must drift here");
+    let c = cfg(0.5, steps);
+    let mut net = SpikingNetwork::new(
+        vec![
+            Layer::spiking_linear_from(Tensor::zeros(&[neurons, 1]), Tensor::ones(&[neurons]), &c)
+                .unwrap(),
+            Layer::output_linear_from(Tensor::zeros(&[1, neurons]), Tensor::zeros(&[1])).unwrap(),
+        ],
+        c,
+    )
+    .unwrap();
+    let train = FrameTrain::from_frames(&vec![Tensor::zeros(&[1]); steps]).unwrap();
+    let out = net.forward_batch(&vec![train; batch]).unwrap();
+    assert_eq!(out.spikes_per_layer, vec![exact as f32]);
+    assert_eq!(out.spikes_per_layer[0] as u64, exact);
 }

@@ -16,8 +16,8 @@
 //!   analog planes, with the same cache-friendly row-dot shape,
 //! * [`sparse_conv2d_batch`] — scatter conv over B stacked spike
 //!   planes into a `[B, Cout·OH·OW]` block,
-//! * [`sparse_avg_pool2d_batch`] / [`sparse_max_pool2d_batch`] —
-//!   event pooling over stacked planes.
+//! * [`sparse_max_pool2d_batch`] — event max pooling from a CSR batch
+//!   to a CSR batch.
 //!
 //! Every per-row result is **bit-identical** to the corresponding
 //! per-sample kernel in [`crate::sparse`] / [`crate::linalg`]: the
@@ -26,13 +26,13 @@
 //! batch forward in `axsnn-core` promise bit-for-bit equivalence with
 //! per-sample classification.
 //!
-//! The linear-layer kernels ([`sparse_matmul`], [`sparse_matmul_bias`],
-//! [`matmul_bt_bias`]) are the ones the fused engine calls on its hot
-//! path. The conv/pool batch kernels are the standalone all-sparse
-//! batch API — inside the fused engine, batches mix gate-admitted and
-//! dense rows per step, so it drives the shared per-row primitives
-//! ([`crate::sparse::sparse_conv2d_into`], the event pools) directly
-//! against its own row partition instead.
+//! The fused engine in `axsnn-core` keeps binary planes between layers
+//! in this CSR form and calls the linear kernels ([`sparse_matmul`],
+//! [`sparse_matmul_bias`], [`matmul_bt_bias`]), the event-sorted conv
+//! ([`sparse_conv2d_batch_sorted_into`]) and the event max pool
+//! ([`sparse_max_pool2d_batch`]) on its hot path. Rows its density gate
+//! declines are left empty in the matrix it hands these kernels and are
+//! overwritten by the dense kernels afterwards.
 //!
 //! # Example
 //!
@@ -101,6 +101,36 @@ impl SpikeMatrix {
             row_ptr,
             cols,
         })
+    }
+
+    /// An empty (0-row) batch whose rows will hold `cols` elements —
+    /// the start of a matrix built row by row with
+    /// [`SpikeMatrix::push_row`].
+    pub fn with_cols(cols: usize) -> Self {
+        SpikeMatrix {
+            indices: Vec::new(),
+            row_ptr: vec![0],
+            cols,
+        }
+    }
+
+    /// Appends one row given by its active indices (ascending, as every
+    /// producer in the workspace emits them — the scatter kernels
+    /// accumulate in event order).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidArgument`] when an index is out of
+    /// bounds for the row length; the matrix is left unchanged.
+    pub fn push_row(&mut self, row: &[u32]) -> Result<()> {
+        if let Some(&bad) = row.iter().find(|&&i| i as usize >= self.cols) {
+            return Err(TensorError::InvalidArgument {
+                message: format!("spike index {bad} out of bounds for length {}", self.cols),
+            });
+        }
+        self.indices.extend_from_slice(row);
+        self.row_ptr.push(self.indices.len());
+        Ok(())
     }
 
     /// Extracts a binary `[B, n]` tensor's events row by row.
@@ -1192,65 +1222,51 @@ fn check_pool_batch(x: &SpikeMatrix, dims: &[usize], k: usize) -> Result<(usize,
     Ok((c, h, w))
 }
 
-/// Batched event average pooling: B stacked `[C·H·W]` planes into
-/// `[B, C·OH·OW]`, each active spike adding `1/k²` to its window.
+/// Batched event max pooling with event output: a window maxes to `1.0`
+/// exactly when it contains at least one spike, so each output row is
+/// the ascending list of windows its row's events hit. Windows hit more
+/// than once are deduplicated with one reusable marker (stamped with the
+/// row index, so it is never cleared), then each row is sorted.
 ///
-/// # Errors
-///
-/// As [`crate::sparse::sparse_avg_pool2d`] for the shared `dims`/`k`.
-pub fn sparse_avg_pool2d_batch(x: &SpikeMatrix, dims: &[usize], k: usize) -> Result<Tensor> {
-    let (c, h, w) = check_pool_batch(x, dims, k)?;
-    let (oh, ow) = (h / k, w / k);
-    let inv = 1.0 / (k * k) as f32;
-    let b = x.rows();
-    let n = c * oh * ow;
-    let mut out = vec![0.0f32; b * n];
-    for r in 0..b {
-        let base = r * n;
-        for &flat in x.row(r) {
-            let flat = flat as usize;
-            let ch = flat / (h * w);
-            let rem = flat % (h * w);
-            let (iy, ix) = (rem / w, rem % w);
-            out[base + ch * oh * ow + (iy / k) * ow + ix / k] += inv;
-        }
-    }
-    Tensor::from_vec(out, &[b, n])
-}
-
-/// Batched event max pooling: a window maxes to `1.0` exactly when it
-/// contains at least one spike. Forward value only (no argmax tape), so
-/// the fused engine uses it exclusively on inference steps.
+/// Row `b` equals the events of [`crate::conv::max_pool2d`] on the
+/// materialized row (and of [`crate::sparse::sparse_max_pool2d`]).
+/// Forward value only (no argmax tape).
 ///
 /// # Errors
 ///
 /// As [`crate::sparse::sparse_max_pool2d`] for the shared `dims`/`k`.
-pub fn sparse_max_pool2d_batch(x: &SpikeMatrix, dims: &[usize], k: usize) -> Result<Tensor> {
+pub fn sparse_max_pool2d_batch(x: &SpikeMatrix, dims: &[usize], k: usize) -> Result<SpikeMatrix> {
     let (c, h, w) = check_pool_batch(x, dims, k)?;
     let (oh, ow) = (h / k, w / k);
-    let b = x.rows();
-    let n = c * oh * ow;
-    let mut out = vec![0.0f32; b * n];
-    for r in 0..b {
-        let base = r * n;
+    let mut out = SpikeMatrix::with_cols(c * oh * ow);
+    out.indices.reserve(x.nnz());
+    let mut marker = vec![u32::MAX; c * oh * ow];
+    let mut hits: Vec<u32> = Vec::new();
+    for r in 0..x.rows() {
+        let stamp = r as u32;
+        hits.clear();
         for &flat in x.row(r) {
             let flat = flat as usize;
             let ch = flat / (h * w);
             let rem = flat % (h * w);
             let (iy, ix) = (rem / w, rem % w);
-            out[base + ch * oh * ow + (iy / k) * ow + ix / k] = 1.0;
+            let o = ch * oh * ow + (iy / k) * ow + ix / k;
+            if marker[o] != stamp {
+                marker[o] = stamp;
+                hits.push(o as u32);
+            }
         }
+        hits.sort_unstable();
+        out.push_row(&hits)?;
     }
-    Tensor::from_vec(out, &[b, n])
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::linalg;
-    use crate::sparse::{
-        sparse_avg_pool2d, sparse_conv2d, sparse_matvec, sparse_matvec_bias, sparse_max_pool2d,
-    };
+    use crate::sparse::{sparse_conv2d, sparse_matvec, sparse_matvec_bias, sparse_max_pool2d};
 
     fn binary_rows(b: usize, n: usize, every: usize) -> Vec<SpikeVector> {
         (0..b)
@@ -1750,28 +1766,68 @@ mod tests {
         .is_err());
     }
 
+    /// The event max pool equals `conv::max_pool2d` (and the per-sample
+    /// event pool) on every materialized row: empty, all-ones and
+    /// random rows.
     #[test]
     fn pool_batch_rows_bitwise_match_per_sample() {
-        let dims = [2usize, 4, 4];
-        let rows = binary_rows(3, 2 * 4 * 4, 3);
-        let batch = SpikeMatrix::from_rows(&rows).unwrap();
-        let avg = sparse_avg_pool2d_batch(&batch, &dims, 2).unwrap();
-        let max = sparse_max_pool2d_batch(&batch, &dims, 2).unwrap();
-        let n = 2 * 2 * 2;
-        for (r, row) in rows.iter().enumerate() {
-            let pa = sparse_avg_pool2d(row, &dims, 2).unwrap();
-            let pm = sparse_max_pool2d(row, &dims, 2).unwrap();
-            assert_eq!(&avg.as_slice()[r * n..(r + 1) * n], pa.as_slice());
-            assert_eq!(&max.as_slice()[r * n..(r + 1) * n], pm.as_slice());
+        use crate::conv::max_pool2d;
+        let dims = [3usize, 6, 6];
+        let len = 3 * 6 * 6;
+        let mut rows = vec![
+            SpikeVector::new(vec![], len).unwrap(), // empty
+            SpikeVector::new((0..len as u32).collect(), len).unwrap(), // all ones
+        ];
+        // Pseudo-random rows from dense to sparse, so windows are hit by
+        // anywhere from 0 to k² spikes.
+        let mut state = 0x2545_f491u32;
+        for keep in [2u32, 3, 5, 9] {
+            let idx: Vec<u32> = (0..len as u32)
+                .filter(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 17;
+                    state ^= state << 5;
+                    state.is_multiple_of(keep)
+                })
+                .collect();
+            rows.push(SpikeVector::new(idx, len).unwrap());
         }
+        let batch = SpikeMatrix::from_rows(&rows).unwrap();
+        for k in [1usize, 2, 3] {
+            let pooled = sparse_max_pool2d_batch(&batch, &dims, k).unwrap();
+            let n = 3 * (6 / k) * (6 / k);
+            assert_eq!((pooled.rows(), pooled.cols()), (rows.len(), n));
+            for (r, row) in rows.iter().enumerate() {
+                let dense = max_pool2d(&row.to_dense(&dims).unwrap(), k).unwrap();
+                let expected = SpikeVector::from_dense(&dense.output).unwrap();
+                assert_eq!(pooled.row(r), expected.indices(), "k {k} row {r}");
+                let per_sample = sparse_max_pool2d(row, &dims, k).unwrap();
+                assert_eq!(per_sample.as_slice(), dense.output.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn push_row_builds_csr_and_checks_bounds() {
+        let mut m = SpikeMatrix::with_cols(5);
+        assert_eq!((m.rows(), m.cols()), (0, 5));
+        m.push_row(&[1, 4]).unwrap();
+        m.push_row(&[]).unwrap();
+        assert!(m.push_row(&[5]).is_err(), "index past the row length");
+        assert_eq!(m.rows(), 2, "a rejected row is not appended");
+        let rows = [
+            SpikeVector::new(vec![1, 4], 5).unwrap(),
+            SpikeVector::new(vec![], 5).unwrap(),
+        ];
+        assert_eq!(m, SpikeMatrix::from_rows(&rows).unwrap());
     }
 
     #[test]
     fn pool_batch_validation() {
         let batch = SpikeMatrix::from_rows(&binary_rows(2, 16, 2)).unwrap();
-        assert!(sparse_avg_pool2d_batch(&batch, &[1, 4, 4], 0).is_err());
-        assert!(sparse_avg_pool2d_batch(&batch, &[1, 5, 4], 2).is_err());
-        assert!(sparse_avg_pool2d_batch(&batch, &[4, 4], 2).is_err());
+        assert!(sparse_max_pool2d_batch(&batch, &[1, 4, 4], 0).is_err());
+        assert!(sparse_max_pool2d_batch(&batch, &[1, 5, 4], 2).is_err());
+        assert!(sparse_max_pool2d_batch(&batch, &[4, 4], 2).is_err());
         assert!(sparse_max_pool2d_batch(&batch, &[1, 4, 5], 2).is_err());
         assert!(sparse_max_pool2d_batch(&batch, &[2, 4, 4], 2).is_err());
     }
