@@ -646,14 +646,11 @@ fn conv_current_block(
     for r in 0..b {
         let slot = &mut block[r * n..(r + 1) * n];
         if gated.admitted[r] {
-            if !sorted || record {
-                let events = gated.row(r);
-                if !sorted {
-                    sparse::sparse_conv2d_into(&events, (h, w), weight, bias, spec, slot)?;
-                }
-                if record {
-                    rows.push(BatchTapeRow::Events(events));
-                }
+            if !sorted {
+                sparse::sparse_conv2d_into(&gated.row(r), (h, w), weight, bias, spec, slot)?;
+            }
+            if record {
+                rows.push(BatchTapeRow::Events(gated.row(r)));
             }
         } else {
             let t = plane.dense_row(r)?;
