@@ -5,14 +5,16 @@
 //!
 //! * `serve_throughput_c32` — 32 concurrent submitters drive the
 //!   service; wall clock vs the same requests classified sequentially
-//!   one-by-one. The fused-coalesced path must reach **≥ 3×**
+//!   one-by-one. The fused batched path must reach **≥ 3×**
 //!   (hardware-aware: skipped when the runner cannot drive the service
 //!   workers). Served predictions are asserted bit-identical to the
 //!   sequential baseline — the bench doubles as an equivalence smoke
 //!   test.
 //! * `serve_latency_steady` — open-loop Poisson traffic at ~25%
 //!   utilization; the service-side p99 must stay within **64×** one
-//!   direct classify.
+//!   direct classify, and the p50 within **1.2×** (hardware-aware like
+//!   the throughput floor): workers never wait for a batch to fill, so
+//!   a lone request pays only dispatch overhead.
 //! * `serve_robust_chaos` — warm/burst/cooldown phases where the burst
 //!   injects worker panics (poison pills every 7th request) and
 //!   near-impossible deadlines: goodput must stay **≥ 0.5** of
@@ -56,7 +58,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 /// Same MNIST-scale MLP shape as `bench_batch`: the ≈3.9 MB weight set
-/// exceeds L2, which is where fused coalescing earns its keep.
+/// exceeds L2, which is where fused batching earns its keep.
 fn make_net() -> SpikingNetwork {
     let mut rng = StdRng::seed_from_u64(42);
     let cfg = SnnConfig {
@@ -91,7 +93,6 @@ fn service_config() -> ServeConfig {
     ServeConfig {
         workers: WORKERS,
         queue_capacity: 256,
-        batch_window: Duration::from_millis(1),
         max_batch: CONCURRENCY,
         encoder: Encoder::Deterministic,
         ..ServeConfig::default()
@@ -172,7 +173,7 @@ fn main() {
         .map(|i| (images[i % images.len()].clone(), 1_000 + i as u64))
         .collect();
 
-    // --- Throughput: sequential baseline vs coalesced service. ---
+    // --- Throughput: sequential baseline vs batched service. ---
     let mut sequential_ns = Vec::new();
     let mut expected = Vec::new();
     for _ in 0..3 {
@@ -207,11 +208,13 @@ fn main() {
     );
 
     // --- Latency under steady open-loop Poisson load (~25% util). ---
-    let rate_hz = (0.25e9 / direct_ns).clamp(200.0, 20_000.0);
+    // Most requests arrive alone, so the p50 reads what serving adds to
+    // one direct classify.
+    let steady_hz = (0.25e9 / direct_ns).clamp(20.0, 20_000.0);
     let service =
         InferenceService::start(net.clone(), images[0].clone(), service_config()).expect("start");
     let steady = TrafficConfig {
-        phases: vec![TrafficPhase::steady("steady", rate_hz, 20 * iters())],
+        phases: vec![TrafficPhase::steady("steady", steady_hz, 50 * iters())],
         seed: 11,
         harvest_timeout: Duration::from_secs(30),
     };
@@ -220,9 +223,13 @@ fn main() {
     let m = service.metrics();
     service.shutdown();
     let direct_us = direct_ns / 1e3;
-    let p99_over_direct = m.p99_latency_us as f64 / (direct_us).max(1e-9);
+    let p50_over_direct = m.p50_latency_us as f64 / direct_us.max(1e-9);
+    let p99_over_direct = m.p99_latency_us as f64 / direct_us.max(1e-9);
 
     // --- Robustness: goodput under panics + deadline bursts. ---
+    // The base rate is at least 200/s, so the 8x burst overloads the
+    // service even on slow hardware.
+    let rate_hz = (0.25e9 / direct_ns).clamp(200.0, 20_000.0);
     let chaos_service = InferenceService::start(net.clone(), images[0].clone(), {
         let mut c = service_config();
         c.queue_capacity = CONCURRENCY;
@@ -265,11 +272,14 @@ fn main() {
             .num("served_ns", served, 0)
             .num("speedup", speedup, 3),
         bench_row("serve_latency_steady")
-            .num("rate_hz", rate_hz, 0)
+            .num("rate_hz", steady_hz, 0)
             .num("requests", steady_report.attempted as f64, 0)
+            .num("workers", WORKERS as f64, 0)
+            .num("hardware_threads", hardware_threads as f64, 0)
             .num("direct_us", direct_us, 1)
             .num("p50_us", m.p50_latency_us as f64, 0)
             .num("p99_us", m.p99_latency_us as f64, 0)
+            .num("p50_over_direct", p50_over_direct, 2)
             .num("p99_over_direct", p99_over_direct, 2),
         bench_row("serve_robust_chaos")
             .num("attempted", chaos_report.attempted as f64, 0)
@@ -290,7 +300,8 @@ fn main() {
     ];
     println!(
         "serve c{CONCURRENCY}: sequential {:.2} ms, served {:.2} ms ({speedup:.2}x); \
-         p50 {} us, p99 {} us ({p99_over_direct:.1}x direct); chaos goodput {:.2} \
+         p50 {} us ({p50_over_direct:.2}x direct), p99 {} us ({p99_over_direct:.1}x direct); \
+         chaos goodput {:.2} \
          ({} respawns, {} hung)",
         sequential / 1e6,
         served / 1e6,

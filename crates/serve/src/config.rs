@@ -1,10 +1,13 @@
-//! Service configuration: admission, batching window, degradation
-//! ladder thresholds and hot-swap validation policy.
+//! Service configuration: admission, batch cap, degradation ladder
+//! thresholds and hot-swap validation policy.
+//!
+//! There is no batching window: workers are work-conserving, so a batch
+//! is whatever queued (up to [`ServeConfig::max_batch`]) while every
+//! worker was busy.
 
 use crate::error::{Result, ServeError};
 use axsnn_core::encoding::Encoder;
 use axsnn_core::plan::{PlanOverride, WeightPlane};
-use std::time::Duration;
 
 /// Request priority class. Under overload the degradation ladder sheds
 /// the lowest class first.
@@ -23,24 +26,19 @@ pub enum Priority {
 /// most degraded. Transitions are driven by measured queue occupancy
 /// with hysteresis (see [`DegradeConfig`]):
 ///
-/// 1. [`ServiceLevel::Full`] — full batching window, the model's own
-///    execution plan.
-/// 2. [`ServiceLevel::ShrunkWindow`] — batching window shrunk so
-///    requests stop accumulating coalescing latency.
-/// 3. [`ServiceLevel::DegradedPlan`] — additionally execute under the
-///    configured cheaper [`PlanOverride`] (prediction-preserving by the
+/// 1. [`ServiceLevel::Full`] — the model's own execution plan.
+/// 2. [`ServiceLevel::DegradedPlan`] — execute under the configured
+///    cheaper [`PlanOverride`] (prediction-preserving by the
 ///    plan-equivalence guarantee) and, when configured, a reduced
 ///    time-step count and/or a reduced-precision weight plane (genuine
 ///    precision-for-latency trades).
-/// 4. [`ServiceLevel::Shedding`] — additionally reject
+/// 3. [`ServiceLevel::Shedding`] — additionally reject
 ///    [`Priority::Low`] work at admission and drop it at dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServiceLevel {
-    /// Healthy: full window, native plan.
+    /// Healthy: native plan.
     Full,
-    /// Queue building: shrink the batching window.
-    ShrunkWindow,
-    /// Queue high: also switch to the degraded execution plan.
+    /// Queue high: switch to the degraded execution plan.
     DegradedPlan,
     /// Queue near capacity: also shed low-priority work.
     Shedding,
@@ -48,9 +46,8 @@ pub enum ServiceLevel {
 
 impl ServiceLevel {
     /// All levels, healthy to most degraded.
-    pub const ALL: [ServiceLevel; 4] = [
+    pub const ALL: [ServiceLevel; 3] = [
         ServiceLevel::Full,
-        ServiceLevel::ShrunkWindow,
         ServiceLevel::DegradedPlan,
         ServiceLevel::Shedding,
     ];
@@ -59,9 +56,8 @@ impl ServiceLevel {
     pub fn index(self) -> usize {
         match self {
             ServiceLevel::Full => 0,
-            ServiceLevel::ShrunkWindow => 1,
-            ServiceLevel::DegradedPlan => 2,
-            ServiceLevel::Shedding => 3,
+            ServiceLevel::DegradedPlan => 1,
+            ServiceLevel::Shedding => 2,
         }
     }
 }
@@ -74,8 +70,6 @@ impl ServiceLevel {
 /// the ladder does not flap at a threshold boundary).
 #[derive(Debug, Clone)]
 pub struct DegradeConfig {
-    /// Occupancy at which the batching window shrinks.
-    pub shrink_at: f64,
     /// Occupancy at which the degraded plan engages.
     pub degrade_at: f64,
     /// Occupancy at which low-priority shedding engages.
@@ -86,8 +80,6 @@ pub struct DegradeConfig {
     /// Consecutive below-threshold observations required to step back
     /// toward [`ServiceLevel::Full`].
     pub recovery_dwell: u32,
-    /// Window divisor applied from [`ServiceLevel::ShrunkWindow`] up.
-    pub window_shrink_divisor: u32,
     /// The cheaper plan installed at [`ServiceLevel::DegradedPlan`].
     /// `PlanOverride::ForceDense` (the default) is prediction-preserving,
     /// keeping served outputs bit-identical to the healthy path.
@@ -108,12 +100,10 @@ pub struct DegradeConfig {
 impl Default for DegradeConfig {
     fn default() -> Self {
         DegradeConfig {
-            shrink_at: 0.45,
             degrade_at: 0.70,
             shed_at: 0.90,
             hysteresis_margin: 0.10,
             recovery_dwell: 3,
-            window_shrink_divisor: 4,
             degraded_plan: PlanOverride::ForceDense,
             degraded_time_steps: None,
             degraded_weight_plane: None,
@@ -127,11 +117,10 @@ impl DegradeConfig {
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] when thresholds are out of
-    /// `[0, 1]`, unordered, or the divisor/dwell are zero.
+    /// `[0, 1]` or unordered, or the dwell is zero.
     pub fn validate(&self) -> Result<()> {
         let bad = |message: String| Err(ServeError::Config { message });
         for (name, v) in [
-            ("shrink_at", self.shrink_at),
             ("degrade_at", self.degrade_at),
             ("shed_at", self.shed_at),
             ("hysteresis_margin", self.hysteresis_margin),
@@ -140,14 +129,11 @@ impl DegradeConfig {
                 return bad(format!("{name} must be in [0, 1], got {v}"));
             }
         }
-        if !(self.shrink_at <= self.degrade_at && self.degrade_at <= self.shed_at) {
+        if self.degrade_at > self.shed_at {
             return bad(format!(
-                "ladder thresholds must be ordered: shrink {} <= degrade {} <= shed {}",
-                self.shrink_at, self.degrade_at, self.shed_at
+                "ladder thresholds must be ordered: degrade {} <= shed {}",
+                self.degrade_at, self.shed_at
             ));
-        }
-        if self.window_shrink_divisor == 0 {
-            return bad("window_shrink_divisor must be >= 1".into());
         }
         if self.recovery_dwell == 0 {
             return bad("recovery_dwell must be >= 1".into());
@@ -170,10 +156,8 @@ pub struct ServeConfig {
     /// Bounded admission-queue capacity; submissions beyond it observe
     /// [`ServeError::QueueFull`] backpressure.
     pub queue_capacity: usize,
-    /// How long a worker holds its first request open for coalescing
-    /// before executing the batch.
-    pub batch_window: Duration,
-    /// Largest fused batch a worker will assemble.
+    /// Largest fused batch a worker will assemble. A worker never waits
+    /// to fill it: it takes what is queued, up to this cap, and runs.
     pub max_batch: usize,
     /// Spike encoder requests are encoded with.
     pub encoder: Encoder,
@@ -188,7 +172,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             queue_capacity: 64,
-            batch_window: Duration::from_millis(2),
             max_batch: 32,
             encoder: Encoder::Deterministic,
             degrade: DegradeConfig::default(),
@@ -216,15 +199,6 @@ impl ServeConfig {
             return bad("max_batch must be >= 1".into());
         }
         self.degrade.validate()
-    }
-
-    /// The effective coalescing window at `level`.
-    pub fn window_at(&self, level: ServiceLevel) -> Duration {
-        if level >= ServiceLevel::ShrunkWindow {
-            self.batch_window / self.degrade.window_shrink_divisor
-        } else {
-            self.batch_window
-        }
     }
 }
 
@@ -258,10 +232,7 @@ mod tests {
         c.degrade.shed_at = 0.2; // below degrade_at: unordered
         assert!(c.validate().is_err());
         let mut c = ServeConfig::default();
-        c.degrade.shrink_at = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = ServeConfig::default();
-        c.degrade.window_shrink_divisor = 0;
+        c.degrade.degrade_at = 1.5;
         assert!(c.validate().is_err());
         let mut c = ServeConfig::default();
         c.degrade.recovery_dwell = 0;
@@ -282,19 +253,6 @@ mod tests {
         for w in ServiceLevel::ALL.windows(2) {
             assert!(w[0] < w[1]);
             assert_eq!(w[0].index() + 1, w[1].index());
-        }
-    }
-
-    #[test]
-    fn window_shrinks_from_shrunk_level_up() {
-        let c = ServeConfig::default();
-        assert_eq!(c.window_at(ServiceLevel::Full), c.batch_window);
-        for level in [
-            ServiceLevel::ShrunkWindow,
-            ServiceLevel::DegradedPlan,
-            ServiceLevel::Shedding,
-        ] {
-            assert_eq!(c.window_at(level), c.batch_window / 4);
         }
     }
 

@@ -1,10 +1,11 @@
 //! Fault-tolerant micro-batching inference service for AxSNN models.
 //!
 //! Production serving for the paper's approximate spiking networks:
-//! concurrent classification requests are coalesced into fused shards
-//! (executed through the batch engine's ExecPlan-selected kernels) by a
-//! pool of worker threads behind a bounded admission queue. The service
-//! stays correct and responsive under overload and faults:
+//! a pool of work-conserving worker threads behind a bounded admission
+//! queue executes whatever requests have queued, up to a batch cap, as
+//! one fused shard through the batch engine's ExecPlan-selected
+//! kernels. The service stays correct and responsive under overload and
+//! faults:
 //!
 //! * [`server`] — the service itself: bounded admission with
 //!   backpressure, deadline-aware load shedding, per-batch panic
@@ -13,7 +14,8 @@
 //!   of model snapshots.
 //! * [`config`] — tuning knobs: [`ServeConfig`], the ladder's
 //!   [`DegradeConfig`], request [`Priority`].
-//! * [`metrics`] — lock-free counters plus latency percentiles.
+//! * [`metrics`] — lock-free counters plus a fixed-size latency
+//!   histogram.
 //! * [`traffic`] — open-loop Poisson traffic with burst and fault
 //!   phases for tests and the `bench_serve` robustness benchmark.
 //!
@@ -21,9 +23,9 @@
 //! [`classify_batch_fused`](axsnn_core::network::SpikingNetwork::classify_batch_fused)
 //! / [`classify`](axsnn_core::network::SpikingNetwork::classify) paths
 //! for the same per-request seed, for *any* interleaving of concurrent
-//! requests, batch composition or window size — micro-batching is a
-//! scheduling optimization, never a semantic one. The
-//! `serve_equivalence` suite pins this.
+//! requests or batch composition — micro-batching is a scheduling
+//! optimization, never a semantic one. The `serve_equivalence` suite
+//! pins this.
 //!
 //! # Provenance
 //!

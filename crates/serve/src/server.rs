@@ -1,10 +1,14 @@
 //! The micro-batching inference service.
 //!
-//! Concurrent [`Request`]s enter a bounded admission queue; worker
-//! threads coalesce them into fused shards (up to a batching window /
-//! batch cap) and execute them through the network's
+//! Concurrent [`Request`]s enter a bounded admission queue. Workers are
+//! work-conserving: a free worker takes everything queued, up to
+//! [`ServeConfig::max_batch`], in FIFO order, and executes it at once
+//! as one fused shard through the network's
 //! [`classify_batch_fused`](SpikingNetwork::classify_batch_fused)
 //! engine under its [`axsnn_core::plan::ExecPlan`]-selected kernels.
+//! No worker waits for a batch to fill: batches form from the requests
+//! that queued while every worker was busy, so a lone request runs
+//! alone and load grows the batches by itself.
 //!
 //! Robustness properties, each pinned by the `serve_equivalence` suite:
 //!
@@ -20,9 +24,9 @@
 //!   fails alone with [`ServeError::WorkerPanicked`] while its batch
 //!   mates still get answers.
 //! * **Graceful degradation** — measured queue occupancy drives the
-//!   [`ServiceLevel`] ladder (shrink window → cheaper plan → shed
-//!   low-priority), escalating immediately and recovering one rung at
-//!   a time behind a hysteresis dwell.
+//!   [`ServiceLevel`] ladder (cheaper plan → shed low-priority),
+//!   escalating immediately and recovering one rung at a time behind a
+//!   hysteresis dwell.
 //! * **Validated hot swap** — [`InferenceService::swap_model`] smoke-
 //!   classifies the candidate against the pinned probe before an
 //!   atomic generation bump; a failing candidate is rolled back and the
@@ -213,8 +217,6 @@ impl Shared {
             ServiceLevel::Shedding
         } else if occ >= d.degrade_at {
             ServiceLevel::DegradedPlan
-        } else if occ >= d.shrink_at {
-            ServiceLevel::ShrunkWindow
         } else {
             ServiceLevel::Full
         };
@@ -228,7 +230,6 @@ impl Shared {
         } else if target < ladder.level {
             let entry_threshold = match ladder.level {
                 ServiceLevel::Full => 0.0,
-                ServiceLevel::ShrunkWindow => d.shrink_at,
                 ServiceLevel::DegradedPlan => d.degrade_at,
                 ServiceLevel::Shedding => d.shed_at,
             };
@@ -578,24 +579,25 @@ fn respond_err(pending: &Pending, err: ServeError) {
     let _ = pending.tx.send(Err(err));
 }
 
-/// Pops up to `room` dispatchable requests from the queue into
-/// `batch`, answering expired and shed requests on the spot (dropped
-/// strictly before execution).
-fn drain_into_batch(
-    shared: &Shared,
+/// Takes the next batch off the queue: up to `max_batch` dispatchable
+/// requests in FIFO order, answering expired and shed requests on the
+/// spot (dropped strictly before execution). It never waits; the batch
+/// is whatever is queued now.
+fn assemble_batch(
     queue: &mut VecDeque<Pending>,
-    batch: &mut Vec<Pending>,
+    max_batch: usize,
     level: ServiceLevel,
-    room: usize,
-) {
-    while batch.len() < room {
+    metrics: &ServeMetrics,
+) -> Vec<Pending> {
+    let mut batch = Vec::with_capacity(max_batch.min(queue.len()));
+    while batch.len() < max_batch {
         let Some(pending) = queue.pop_front() else {
             break;
         };
         if let Some(expires) = pending.expires {
             let now = Instant::now();
             if now >= expires {
-                shared.metrics.expired.fetch_add(1, Ordering::Relaxed);
+                metrics.expired.fetch_add(1, Ordering::Relaxed);
                 respond_err(
                     &pending,
                     ServeError::DeadlineExpired {
@@ -606,7 +608,7 @@ fn drain_into_batch(
             }
         }
         if level >= ServiceLevel::Shedding && pending.priority < Priority::Normal {
-            shared.metrics.shed_priority.fetch_add(1, Ordering::Relaxed);
+            metrics.shed_priority.fetch_add(1, Ordering::Relaxed);
             respond_err(
                 &pending,
                 ServeError::Shed {
@@ -617,6 +619,7 @@ fn drain_into_batch(
         }
         batch.push(pending);
     }
+    batch
 }
 
 /// One worker's cached model clone, tracked by generation and the plan
@@ -774,20 +777,15 @@ fn retry_individually(
     }
 }
 
-/// A worker thread's life: assemble a batch (bounded coalescing wait),
+/// A worker thread's life: take what is queued (up to the batch cap),
 /// execute it fused, answer every member. Returns on shutdown with the
 /// queue drained.
 fn worker_loop(shared: &Shared) {
     let mut worker = WorkerModel::refresh(shared);
     loop {
-        let mut batch: Vec<Pending> = Vec::new();
-        let level;
-        {
+        let (batch, level) = {
             let mut q = shared.queue.lock().expect("queue lock");
-            loop {
-                if !q.queue.is_empty() {
-                    break;
-                }
+            while q.queue.is_empty() {
                 if q.closed {
                     return;
                 }
@@ -795,39 +793,19 @@ fn worker_loop(shared: &Shared) {
             }
             let depth = q.queue.len();
             shared.metrics.observe_queue_depth(depth);
-            level = shared.observe_occupancy(depth);
-            let max_batch = shared.config.max_batch;
-            drain_into_batch(shared, &mut q.queue, &mut batch, level, max_batch);
-            // Coalescing window: hold the first request(s) open briefly
-            // so concurrent submitters can join this fused shard.
-            let window = shared.config.window_at(level);
-            let coalesce_until = Instant::now() + window;
-            while !batch.is_empty() && batch.len() < max_batch {
-                if !q.queue.is_empty() {
-                    drain_into_batch(shared, &mut q.queue, &mut batch, level, max_batch);
-                    continue;
-                }
-                if q.closed {
-                    break;
-                }
-                let remaining = match coalesce_until.checked_duration_since(Instant::now()) {
-                    Some(r) if r > Duration::ZERO => r,
-                    _ => break,
-                };
-                let (guard, timeout) = shared
-                    .available
-                    .wait_timeout(q, remaining)
-                    .expect("queue lock");
-                q = guard;
-                if timeout.timed_out() && q.queue.is_empty() {
-                    break;
-                }
-            }
+            let level = shared.observe_occupancy(depth);
+            let batch = assemble_batch(
+                &mut q.queue,
+                shared.config.max_batch,
+                level,
+                &shared.metrics,
+            );
             if !q.queue.is_empty() {
                 // Leftover work: wake a sibling before we go compute.
                 shared.available.notify_one();
             }
-        }
+            (batch, level)
+        };
         if batch.is_empty() {
             continue;
         }
@@ -884,5 +862,77 @@ fn worker_loop(shared: &Shared) {
                 retry_individually(shared, &mut worker, batch, level, dispatch);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pending(seed: u64, priority: Priority) -> (Pending, mpsc::Receiver<Result<Response>>) {
+        let (tx, rx) = mpsc::channel();
+        let pending = Pending {
+            image: Tensor::full(&[1], 0.0),
+            seed,
+            priority,
+            poison: false,
+            submitted: Instant::now(),
+            expires: None,
+            tx,
+        };
+        (pending, rx)
+    }
+
+    fn seeds<'a>(items: impl IntoIterator<Item = &'a Pending>) -> Vec<u64> {
+        items.into_iter().map(|p| p.seed).collect()
+    }
+
+    /// One assembly over `n` queued requests takes exactly
+    /// `min(n, max_batch)` of them, oldest first, and leaves the rest
+    /// queued in order. It returns at once: a coalescing wait of even
+    /// 1 ms per partial batch would blow the time budget below.
+    #[test]
+    fn assembly_takes_what_is_queued_in_fifo_order_without_waiting() {
+        let metrics = ServeMetrics::default();
+        let mut in_assembly = Duration::ZERO;
+        let mut partial = 0u32;
+        for n in 0..=40u64 {
+            for max_batch in [1usize, 7, 32] {
+                let (mut queue, _rx): (VecDeque<Pending>, Vec<_>) =
+                    (0..n).map(|i| pending(i, Priority::Normal)).unzip();
+                let start = Instant::now();
+                let batch = assemble_batch(&mut queue, max_batch, ServiceLevel::Full, &metrics);
+                in_assembly += start.elapsed();
+                let take = (n as usize).min(max_batch);
+                assert_eq!(batch.len(), take);
+                assert_eq!(seeds(&batch), (0..take as u64).collect::<Vec<_>>());
+                assert_eq!(seeds(&queue), (take as u64..n).collect::<Vec<_>>());
+                if take > 0 && take < max_batch {
+                    partial += 1;
+                }
+            }
+        }
+        assert!(partial > 30);
+        assert!(
+            in_assembly < Duration::from_millis(1) * partial,
+            "{partial} partial assemblies took {in_assembly:?}"
+        );
+    }
+
+    /// At the shedding level, low-priority work is answered `Shed` and
+    /// skipped; the batch still fills in FIFO order behind it.
+    #[test]
+    fn assembly_sheds_low_priority_at_shedding_level() {
+        let metrics = ServeMetrics::default();
+        let (low, low_rx) = pending(0, Priority::Low);
+        let (a, _a_rx) = pending(1, Priority::Normal);
+        let (b, _b_rx) = pending(2, Priority::High);
+        let (c, _c_rx) = pending(3, Priority::Normal);
+        let mut queue: VecDeque<Pending> = [low, a, b, c].into_iter().collect();
+        let batch = assemble_batch(&mut queue, 2, ServiceLevel::Shedding, &metrics);
+        assert_eq!(seeds(&batch), vec![1, 2]);
+        assert_eq!(seeds(&queue), vec![3]);
+        assert!(matches!(low_rx.recv(), Ok(Err(ServeError::Shed { .. }))));
+        assert_eq!(metrics.shed_priority.load(Ordering::Relaxed), 1);
     }
 }

@@ -1,10 +1,11 @@
 //! Open-loop synthetic traffic for exercising the service.
 //!
 //! Arrivals follow a Poisson process (exponential inter-arrival times)
-//! at a per-phase rate; the generator never waits for responses while
-//! submitting (open loop), so overload actually overloads — queue
-//! depth, shedding and backpressure behave as they would behind a real
-//! ingress. Phases compose steady load, bursts, deadline pressure and
+//! at a per-phase rate, laid out up front as absolute due times so the
+//! offered rate does not drift under load; the generator never waits
+//! for responses while submitting (open loop), so overload actually
+//! overloads — queue depth, shedding and backpressure behave as they
+//! would behind a real ingress. Phases compose steady load, bursts, deadline pressure and
 //! fault injection (poison pills) into one scripted run, in the spirit
 //! of the sweep engine's `FaultPlan`.
 
@@ -158,29 +159,67 @@ fn exp_interval(rng: &mut StdRng, rate_hz: f64) -> Duration {
     Duration::from_secs_f64((-u.ln() / rate_hz).min(1.0))
 }
 
+/// One scheduled submission of an open-loop run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Arrival {
+    /// Due time, as an offset from the start of the run.
+    due: Duration,
+    /// Submitted at [`Priority::Low`].
+    low_priority: bool,
+}
+
+/// The run's arrivals, one per request in phase order: each Poisson gap
+/// is added to the previous due time, so the offsets are absolute and a
+/// pure function of `config`. Per request the seeded stream yields the
+/// gap (skipped for a non-positive or infinite rate), then the priority
+/// draw.
+fn arrival_schedule(config: &TrafficConfig) -> Vec<Arrival> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut due = Duration::ZERO;
+    let mut arrivals = Vec::new();
+    for phase in &config.phases {
+        for _ in 0..phase.requests {
+            if phase.rate_hz.is_finite() && phase.rate_hz > 0.0 {
+                due += exp_interval(&mut rng, phase.rate_hz);
+            }
+            arrivals.push(Arrival {
+                due,
+                low_priority: rng.gen::<f64>() < phase.low_priority_share,
+            });
+        }
+    }
+    arrivals
+}
+
 /// Plays `config`'s phases against `service`, cycling through `images`,
 /// then harvests every outstanding ticket and tallies outcomes.
 ///
-/// Submission is open-loop: the generator sleeps out Poisson
-/// inter-arrival gaps but never blocks on a response.
+/// Submission is open-loop: each request is due at a fixed, seeded
+/// offset from the start. The generator sleeps until it is due,
+/// submits at once when behind schedule, and never blocks on a
+/// response, so sleep overshoot and submit cost do not pile up into a
+/// lower offered rate.
 pub fn run_open_loop(
     service: &InferenceService,
     images: &[Tensor],
     config: &TrafficConfig,
 ) -> TrafficReport {
+    let schedule = arrival_schedule(config);
     let started = Instant::now();
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let mut report = TrafficReport::default();
     let mut outstanding: Vec<Ticket> = Vec::new();
     let mut index = 0usize;
     for phase in &config.phases {
         for i in 0..phase.requests {
-            if phase.rate_hz.is_finite() && phase.rate_hz > 0.0 {
-                std::thread::sleep(exp_interval(&mut rng, phase.rate_hz));
+            let arrival = schedule[index];
+            let due = started + arrival.due;
+            let now = Instant::now();
+            if due > now {
+                std::thread::sleep(due - now);
             }
             let image = images[index % images.len()].clone();
             let mut request = Request::new(image, sample_seed(config.seed, index));
-            if rng.gen::<f64>() < phase.low_priority_share {
+            if arrival.low_priority {
                 request = request.with_priority(Priority::Low);
             }
             if let Some(deadline) = phase.deadline {
@@ -253,5 +292,49 @@ mod tests {
         assert_eq!(p.low_priority_share, 0.5);
         assert_eq!(p.poison_every, Some(7));
         assert!(p.deadline.is_some());
+    }
+
+    fn config(seed: u64) -> TrafficConfig {
+        TrafficConfig {
+            phases: vec![
+                TrafficPhase::steady("warm", 2_000.0, 30),
+                TrafficPhase::burst("burst", 20_000.0, 60, 0.3),
+                TrafficPhase::steady("flood", f64::INFINITY, 5),
+                TrafficPhase::steady("cooldown", 500.0, 20),
+            ],
+            seed,
+            ..TrafficConfig::default()
+        }
+    }
+
+    #[test]
+    fn schedule_is_absolute_monotone_and_seeded() {
+        let cfg = config(21);
+        let schedule = arrival_schedule(&cfg);
+        // One arrival per request, phases in order.
+        assert_eq!(schedule.len(), 30 + 60 + 5 + 20);
+        assert!(schedule.windows(2).all(|w| w[0].due <= w[1].due));
+        // The infinite-rate phase adds no gaps.
+        assert!(schedule[90..95].iter().all(|a| a.due == schedule[89].due));
+        // A pure function of the seed...
+        assert_eq!(schedule, arrival_schedule(&cfg));
+        assert_ne!(schedule, arrival_schedule(&config(22)));
+        // ...drawn from the seeded stream gap-then-priority per request,
+        // with each offset the running sum of the gaps.
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut due = Duration::ZERO;
+        let mut k = 0;
+        for phase in &cfg.phases {
+            for _ in 0..phase.requests {
+                if phase.rate_hz.is_finite() {
+                    due += exp_interval(&mut rng, phase.rate_hz);
+                }
+                let low_priority = rng.gen::<f64>() < phase.low_priority_share;
+                assert_eq!(schedule[k], Arrival { due, low_priority });
+                k += 1;
+            }
+        }
+        assert!(schedule[..30].iter().all(|a| !a.low_priority));
+        assert!(schedule[30..90].iter().any(|a| a.low_priority));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The load-bearing guarantee: micro-batching is a *scheduling*
 //! optimization, never a semantic one. For any interleaving of
-//! concurrent requests, any batch composition, any window size and the
-//! `ForceDense` degradation state, served predictions are bit-identical
+//! concurrent requests, any arrival spacing, any batch composition and
+//! the `ForceDense` degradation state, served predictions are bit-identical
 //! to the direct `classify_batch_fused` / `classify` paths with the
 //! same per-request seed. Plus regressions for every robustness
 //! property: deadline expiry, panic isolation + respawn, hot-swap
@@ -80,7 +80,6 @@ fn base_config() -> ServeConfig {
     ServeConfig {
         workers: 2,
         queue_capacity: 64,
-        batch_window: Duration::from_millis(1),
         max_batch: 8,
         encoder: Encoder::Deterministic,
         ..ServeConfig::default()
@@ -90,14 +89,15 @@ fn base_config() -> ServeConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Any interleaving of concurrent submitters, any window size, any
-    /// batch cap, any worker count — and optionally the ForceDense
-    /// degradation state — serves predictions bit-identical to the
-    /// direct per-sample path.
+    /// Any interleaving of concurrent submitters, any arrival spacing
+    /// (so batches of every size form from what queues while workers
+    /// are busy), any batch cap, any worker count — and optionally the
+    /// ForceDense degradation state — serves predictions bit-identical
+    /// to the direct per-sample path.
     #[test]
     fn served_equals_direct_under_any_interleaving(
         n_requests in 1usize..20,
-        window_us in 0u64..2_000,
+        spacing_seed in 0u64..1_000_000,
         max_batch in 1usize..8,
         workers in 1usize..4,
         submitters in 1usize..4,
@@ -107,13 +107,12 @@ proptest! {
         let net = make_net(net_seed);
         let mut config = base_config();
         config.workers = workers;
-        config.batch_window = Duration::from_micros(window_us);
         config.max_batch = max_batch;
         if force_dense {
             // Ladder pinned at DegradedPlan: occupancy >= 0 always
-            // crosses a zero threshold, and shed_at 1.01 is unreachable.
+            // crosses a zero threshold, and a full queue (shed_at 1.0)
+            // is unreachable with at most 19 requests in 64 slots.
             config.degrade = DegradeConfig {
-                shrink_at: 0.0,
                 degrade_at: 0.0,
                 shed_at: 1.0,
                 ..DegradeConfig::default()
@@ -140,12 +139,16 @@ proptest! {
                 rest = tail;
                 work.push((lane * chunk, reqs, head));
             }
-            for (_, reqs, out) in work {
+            for (first, reqs, out) in work {
                 let service = &service;
                 scope.spawn(move || {
+                    // Each submitter spaces its arrivals by its own
+                    // seeded 0–2000 µs sleeps.
+                    let mut spacing = StdRng::seed_from_u64(spacing_seed ^ first as u64);
                     let tickets: Vec<_> = reqs
                         .iter()
                         .map(|(image, seed)| {
+                            std::thread::sleep(Duration::from_micros(spacing.gen_range(0..2_000)));
                             service
                                 .submit(Request::new(image.clone(), *seed))
                                 .expect("capacity 64 never fills here")
@@ -194,33 +197,47 @@ fn poisoned_request_fails_alone_and_worker_respawns() {
     let net = make_net(4);
     let mut config = base_config();
     config.workers = 1;
-    config.batch_window = Duration::from_millis(30);
     config.max_batch = 8;
     let service = InferenceService::start(net.clone(), probe(), config).expect("start");
 
-    // Submit normals + one poison quickly so they coalesce into one
-    // batch on the single worker.
+    // Submit normals + one poison back to back: whatever queues while
+    // the single worker is busy becomes its next batch, so the poison
+    // shares a batch with the normals still queued behind the first.
+    // Every round checks the isolation contract; rounds repeat until
+    // one has put the poison in a batch with healthy mates (they are
+    // then answered by the individual retry pass).
     let normals: Vec<(Tensor, u64)> = (0..4).map(|i| (make_image(i), 40 + i)).collect();
-    let mut tickets = Vec::new();
-    for (image, seed) in &normals {
-        tickets.push(service.submit(Request::new(image.clone(), *seed)).unwrap());
-    }
-    let poison_ticket = service
-        .submit(Request::new(make_image(99), 999).poisoned())
-        .unwrap();
-
-    // Every healthy batch mate still gets its bit-exact answer.
-    for (ticket, (image, seed)) in tickets.into_iter().zip(&normals) {
-        let response = ticket.wait().expect("batch mates must be served");
-        assert_eq!(response.prediction, direct_prediction(&net, image, *seed));
-    }
-    // The poisoned request fails alone, typed as a worker panic.
-    match poison_ticket.wait() {
-        Err(ServeError::WorkerPanicked { payload }) => {
-            assert!(payload.contains("injected poison"), "{payload}");
+    let mut shared_batch = false;
+    for _round in 0..20 {
+        let mut tickets = Vec::new();
+        for (image, seed) in &normals {
+            tickets.push(service.submit(Request::new(image.clone(), *seed)).unwrap());
         }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
+        let poison_ticket = service
+            .submit(Request::new(make_image(99), 999).poisoned())
+            .unwrap();
+
+        // Every healthy batch mate still gets its bit-exact answer.
+        for (ticket, (image, seed)) in tickets.into_iter().zip(&normals) {
+            let response = ticket.wait().expect("batch mates must be served");
+            assert_eq!(response.prediction, direct_prediction(&net, image, *seed));
+            shared_batch |= response.retried;
+        }
+        // The poisoned request fails alone, typed as a worker panic.
+        match poison_ticket.wait() {
+            Err(ServeError::WorkerPanicked { payload }) => {
+                assert!(payload.contains("injected poison"), "{payload}");
+            }
+            other => panic!("expected WorkerPanicked, got {other:?}"),
+        }
+        if shared_batch {
+            break;
+        }
     }
+    assert!(
+        shared_batch,
+        "the poison never shared a fused batch with healthy requests"
+    );
     let m = service.metrics();
     assert!(m.batch_panics >= 1, "batch panic recorded: {m:?}");
     assert!(m.worker_respawns >= 1, "respawn recorded: {m:?}");
@@ -322,7 +339,6 @@ fn degraded_weight_plane_serves_quantized_predictions() {
     config.workers = 1;
     // Ladder pinned at DegradedPlan from the first dispatch observation.
     config.degrade = DegradeConfig {
-        shrink_at: 0.0,
         degrade_at: 0.0,
         shed_at: 1.0,
         degraded_weight_plane: Some(WeightPlane::Int8),
@@ -359,7 +375,6 @@ fn bounded_queue_applies_backpressure() {
     let mut config = base_config();
     config.workers = 1;
     config.queue_capacity = 2;
-    config.batch_window = Duration::from_millis(20);
     config.max_batch = 2;
     let service = InferenceService::start(net, probe(), config).expect("start");
     let mut accepted = Vec::new();
@@ -391,7 +406,6 @@ fn shedding_level_rejects_low_priority_only() {
     // All thresholds at 0 pin the ladder at Shedding from the first
     // dispatch on.
     config.degrade = DegradeConfig {
-        shrink_at: 0.0,
         degrade_at: 0.0,
         shed_at: 0.0,
         ..DegradeConfig::default()
@@ -422,42 +436,67 @@ fn ladder_recovers_with_hysteresis_dwell() {
     config.workers = 1;
     config.queue_capacity = 4;
     config.degrade = DegradeConfig {
-        shrink_at: 0.5,
-        degrade_at: 0.95,
-        shed_at: 1.0,
+        degrade_at: 0.5,
+        shed_at: 0.75,
         hysteresis_margin: 0.1,
         recovery_dwell: 2,
         ..DegradeConfig::default()
     };
-    config.batch_window = Duration::from_millis(5);
     let service = InferenceService::start(net, probe(), config).expect("start");
-    // Flood: 4 queued / capacity 4 crosses shrink_at.
-    let tickets: Vec<_> = (0..8u64)
-        .filter_map(|i| service.submit(Request::new(make_image(i), i)).ok())
-        .collect();
-    for t in tickets {
-        let _ = t.wait();
+    // Flood: 8 instant submits into capacity 4. What queues while the
+    // single worker is busy is observed at its next dispatch, and 3
+    // queued (occupancy 0.75) escalates straight to Shedding. Flood
+    // again until some dispatch has seen that.
+    let mut floods = 0;
+    while service.level() < ServiceLevel::Shedding {
+        assert!(
+            floods < 100,
+            "floods must escalate to Shedding, got {:?}",
+            service.level()
+        );
+        floods += 1;
+        let tickets: Vec<_> = (0..8u64)
+            .filter_map(|i| service.submit(Request::new(make_image(i), i)).ok())
+            .collect();
+        for t in tickets {
+            let _ = t.wait();
+        }
     }
-    assert!(
-        service.level() > ServiceLevel::Full,
-        "flood must have escalated, got {:?}",
-        service.level()
-    );
-    // Calm traffic: single blocking requests keep occupancy near 0, so
-    // after `recovery_dwell` observations per rung the ladder steps
-    // back down — one rung at a time, each entry counted.
+    let flooded = service.metrics().level_entries;
+    // Calm traffic: each blocking request is one dispatch observing one
+    // queued request (occupancy 0.25, below every threshold minus the
+    // margin), so every `recovery_dwell` observations the ladder steps
+    // down one rung: Shedding → DegradedPlan → Full within 4 requests.
+    let mut levels = Vec::new();
     for i in 0..16u64 {
         service
             .classify_blocking(make_image(i), 100 + i)
             .expect("served");
+        levels.push(service.level());
     }
-    assert_eq!(service.level(), ServiceLevel::Full, "ladder must recover");
-    let m = service.metrics();
+    let mut previous = ServiceLevel::Shedding;
+    for &level in &levels {
+        assert!(
+            level <= previous && previous.index() - level.index() <= 1,
+            "recovery steps down one rung at a time: {levels:?}"
+        );
+        previous = level;
+    }
     assert!(
-        m.level_entries[ServiceLevel::ShrunkWindow.index()] >= 1,
-        "stepwise recovery passes through ShrunkWindow: {m:?}"
+        levels.contains(&ServiceLevel::DegradedPlan),
+        "stepwise recovery from Shedding passes through DegradedPlan: {levels:?}"
     );
-    assert!(m.total_transitions() >= 2);
+    assert_eq!(
+        levels[3],
+        ServiceLevel::Full,
+        "ladder must recover: {levels:?}"
+    );
+    let m = service.metrics();
+    let entered = |level: ServiceLevel| m.level_entries[level.index()] - flooded[level.index()];
+    assert_eq!(entered(ServiceLevel::DegradedPlan), 1, "{m:?}");
+    assert_eq!(entered(ServiceLevel::Full), 1, "{m:?}");
+    assert_eq!(entered(ServiceLevel::Shedding), 0, "{m:?}");
+    assert!(m.total_transitions() >= 3);
     service.shutdown();
 }
 
@@ -496,7 +535,6 @@ fn shutdown_drains_queue_and_answers_everyone() {
     let net = make_net(16);
     let mut config = base_config();
     config.workers = 1;
-    config.batch_window = Duration::from_millis(10);
     let service = InferenceService::start(net, probe(), config).expect("start");
     let tickets: Vec<_> = (0..6u64)
         .map(|i| service.submit(Request::new(make_image(i), i)).unwrap())
